@@ -168,7 +168,6 @@ mod tests {
             utilization: Utilization::default(),
             events: 1,
             incomplete: 0,
-            par: None,
             timeseries: None,
         };
         let cells = jct_summary_cells(&r, SimDuration::from_secs(5));

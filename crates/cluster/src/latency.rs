@@ -118,26 +118,6 @@ impl LatencyProfile {
         self.per_token(1)
     }
 
-    /// The curve's global per-token lower bound — the latency at the
-    /// smallest measured batch (validation guarantees the curve is
-    /// non-decreasing in batch size, so no batch decodes faster).
-    ///
-    /// This is the conservative-lookahead primitive of the partitioned
-    /// engine: a task re-timed with `r` remaining tokens cannot finish
-    /// sooner than `r × min_per_token()` later, so events a shard posts
-    /// while handling a hook at time `t` land at or after `t`.
-    pub fn min_per_token(&self) -> SimDuration {
-        self.points[0].1
-    }
-
-    /// Lower bound on the time to decode `tokens` tokens on a replica
-    /// with this curve, at any batch size: `tokens × min_per_token()`.
-    /// The partitioned engine's lookahead window is built from these
-    /// bounds — no task with `tokens` outstanding can finish sooner.
-    pub fn min_service_time(&self, tokens: u64) -> SimDuration {
-        self.min_per_token() * tokens
-    }
-
     /// The paper's Eq. (2) calibration factor `l(b_t) / l(b_r)`: multiply a
     /// duration observed (or estimated) at batch `from` to predict it at
     /// batch `to`.
@@ -197,16 +177,6 @@ mod tests {
         let p = LatencyProfile::new(vec![(2, ms(10.0)), (4, ms(20.0))]).unwrap();
         assert_eq!(p.per_token(1), ms(10.0));
         assert_eq!(p.per_token(100), ms(20.0));
-    }
-
-    #[test]
-    fn min_service_time_lower_bounds_every_batch_rate() {
-        let p = LatencyProfile::new(vec![(1, ms(10.0)), (8, ms(25.0))]).unwrap();
-        assert_eq!(p.min_service_time(100), ms(10.0) * 100);
-        for b in 1..=16 {
-            assert!(p.min_service_time(100) <= p.per_token(b) * 100, "batch {b}");
-        }
-        assert_eq!(p.min_service_time(0), SimDuration::ZERO);
     }
 
     #[test]

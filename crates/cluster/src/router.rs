@@ -57,7 +57,7 @@ pub struct RouteRequest {
 }
 
 /// A request-routing policy over cluster replicas.
-pub trait Router: std::fmt::Debug + Send {
+pub trait Router: std::fmt::Debug {
     /// Short policy name, used in reports (e.g. `"jsq"`).
     fn name(&self) -> &'static str;
 

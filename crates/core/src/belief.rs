@@ -31,7 +31,7 @@ use llmsched_dag::ids::{AppId, JobId, StageId};
 use llmsched_sim::scheduler::{SchedContext, SchedDelta};
 use llmsched_sim::state::JobRt;
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::estimator::{EvidencePosteriors, WorkEstimate};
 use crate::store::ProfileStore;
@@ -47,7 +47,7 @@ const BANDS_MEMO_CAP: usize = 1 << 16;
 #[derive(Debug, Clone, Default)]
 struct AppBands {
     version: u64,
-    by_evidence: HashMap<Vec<(usize, usize)>, Arc<EvidencePosteriors>>,
+    by_evidence: HashMap<Vec<(usize, usize)>, Rc<EvidencePosteriors>>,
 }
 
 /// Everything LLMSched believes about one active job under its current
@@ -74,7 +74,7 @@ pub struct JobBelief {
     /// The shared per-evidence posterior state this belief was derived
     /// from (bands + reduced-CPT pool + marginals) — Eq. 6 scoring reuses
     /// it instead of re-running the inference.
-    shared: Option<Arc<EvidencePosteriors>>,
+    shared: Option<Rc<EvidencePosteriors>>,
 }
 
 /// Delta-maintained [`JobBelief`] records for every active job.
@@ -235,11 +235,11 @@ impl BeliefStore {
         }
         let key: Vec<(usize, usize)> = evidence.iter().map(|(&s, &b)| (s, b)).collect();
         let entry = app_bands.by_evidence.entry(key).or_insert_with(|| {
-            Arc::new(EvidencePosteriors::build(
+            Rc::new(EvidencePosteriors::build(
                 profile, &evidence, use_bn, tail_mass,
             ))
         });
-        let shared = Arc::clone(entry);
+        let shared = Rc::clone(entry);
         let work = crate::estimator::remaining_work_from_bands(profile, job, &shared.bands);
         self.beliefs.insert(
             job.id(),
@@ -269,14 +269,8 @@ impl BeliefStore {
 
     /// Eq. 6 uncertainty-reduction score for a ready stage, memoized in
     /// the job's belief. One profile lookup per call — this is where the
-    /// old path's double `profiler.profile()` per score went.
-    ///
-    /// Sequential composition of the split API below:
-    /// [`memoized_reduction`](Self::memoized_reduction) →
-    /// [`score`](Self::score) →
-    /// [`memoize_reduction`](Self::memoize_reduction). Batch callers
-    /// (parallel candidate scoring) run the same three phases with the
-    /// middle one fork-joined; values are identical either way.
+    /// old path's double `profiler.profile()` per score went. Scores of
+    /// jobs without a belief are computed but not memoized.
     pub fn reduction(
         &mut self,
         store: &ProfileStore,
@@ -284,30 +278,24 @@ impl BeliefStore {
         job: &JobRt,
         stage: StageId,
     ) -> f64 {
-        if let Some(r) = self.memoized_reduction(job.id(), stage) {
+        if let Some(r) = self
+            .beliefs
+            .get(&job.id())
+            .and_then(|b| b.reductions.get(&stage.0).copied())
+        {
             return r;
         }
         let r = self.score(store, mi, job, stage);
-        self.memoize_reduction(job.id(), stage, r);
+        if let Some(b) = self.beliefs.get_mut(&job.id()) {
+            b.reductions.insert(stage.0, r);
+        }
         r
     }
 
-    /// Probes the per-job Eq. 6 memo without computing anything.
-    pub fn memoized_reduction(&self, job: JobId, stage: StageId) -> Option<f64> {
-        self.beliefs
-            .get(&job)
-            .and_then(|b| b.reductions.get(&stage.0).copied())
-    }
-
-    /// Computes a ready stage's Eq. 6 score against the held belief
-    /// **without mutating the store** — safe to call from several worker
-    /// threads at once over disjoint candidates. The only shared write is
-    /// the per-evidence MI memo behind its mutex
-    /// ([`EvidencePosteriors`]); the MI term is a pure function of
-    /// `(application, evidence, stage)`, so racing fills store the same
-    /// value whichever thread lands first and results stay bit-identical
-    /// to the sequential order.
-    pub fn score(&self, store: &ProfileStore, mi: MiEstimator, job: &JobRt, stage: StageId) -> f64 {
+    /// Computes a ready stage's Eq. 6 score against the held belief,
+    /// filling only the shared per-evidence MI memo
+    /// ([`EvidencePosteriors`]).
+    fn score(&self, store: &ProfileStore, mi: MiEstimator, job: &JobRt, stage: StageId) -> f64 {
         let Some(profile) = store.profile(job.app()) else {
             return 0.0;
         };
@@ -350,15 +338,6 @@ impl BeliefStore {
             None => uncertainty_reduction(profile, job, stage, &profile.evidence_of(job), mi),
         }
     }
-
-    /// Commits one computed score into the job's belief memo (no-op when
-    /// the job holds no belief, matching the sequential path, which never
-    /// memoizes belief-less scores).
-    pub fn memoize_reduction(&mut self, job: JobId, stage: StageId, r: f64) {
-        if let Some(b) = self.beliefs.get_mut(&job) {
-            b.reductions.insert(stage.0, r);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -392,7 +371,6 @@ mod tests {
             dispatchable_regular: jobs.iter().map(|j| j.ready_unstarted_by_class().0).sum(),
             dispatchable_llm: jobs.iter().map(|j| j.ready_unstarted_by_class().1).sum(),
             could_dispatch: true,
-            pool: None,
             templates,
             latency,
         }

@@ -141,12 +141,9 @@ pub struct EvidencePosteriors {
     /// Shared memo of Eq. 6 MI terms per stage: the term is a pure
     /// function of `(application, evidence)` (see
     /// [`crate::uncertainty`]), so every job under this evidence reuses
-    /// one computation. The `Mutex` guards the lazy fills: parallel
-    /// candidate scoring computes misses from several worker threads at
-    /// once, and because the memoized value is a pure function of the
-    /// key, racing fills write the same bits whichever thread lands
-    /// first.
-    pub(crate) mi: std::sync::Mutex<std::collections::HashMap<u32, f64>>,
+    /// one computation. Interior mutability lets scoring fill it through
+    /// the shared handle every belief under this evidence holds.
+    pub(crate) mi: std::cell::RefCell<std::collections::HashMap<u32, f64>>,
 }
 
 /// The shareable inference state behind one evidence map.
@@ -167,19 +164,12 @@ impl EvidencePosteriors {
 
     /// Reads the shared MI memo for `stage`.
     pub(crate) fn mi_memo(&self, stage: u32) -> Option<f64> {
-        self.mi
-            .lock()
-            .expect("mi memo poisoned")
-            .get(&stage)
-            .copied()
+        self.mi.borrow().get(&stage).copied()
     }
 
     /// Fills the shared MI memo for `stage`.
     pub(crate) fn mi_memo_insert(&self, stage: u32, value: f64) {
-        self.mi
-            .lock()
-            .expect("mi memo poisoned")
-            .insert(stage, value);
+        self.mi.borrow_mut().insert(stage, value);
     }
 
     /// Builds the posterior state for one evidence map.
@@ -188,7 +178,7 @@ impl EvidencePosteriors {
             return EvidencePosteriors {
                 bands: stage_bands(profile, evidence, false, tail_mass),
                 cache: None,
-                mi: std::sync::Mutex::new(std::collections::HashMap::new()),
+                mi: std::cell::RefCell::default(),
             };
         }
         let net = profile.net();
@@ -215,7 +205,7 @@ impl EvidencePosteriors {
         EvidencePosteriors {
             bands,
             cache: Some(PosteriorCache { pool, marginals }),
-            mi: std::sync::Mutex::new(std::collections::HashMap::new()),
+            mi: std::cell::RefCell::default(),
         }
     }
 }

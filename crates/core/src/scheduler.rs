@@ -154,10 +154,6 @@ pub struct LlmSched {
     merge_emitted: HashMap<(usize, StageId), usize>,
     st_mat_buf: Vec<StageRef>,
     su_heap_buf: std::collections::BinaryHeap<SuEntry>,
-    /// Group-scoring scratch: the current non-overlapping group's
-    /// ready-stage frontier and its Eq. 6 scores (parallel arrays).
-    su_cands_buf: Vec<(usize, StageId)>,
-    su_scores_buf: Vec<f64>,
     /// Dirty-set scored frontier: each job's ready-stage list with its
     /// Eq. 6 scores, in `ready_stage_ids` order, persisted across
     /// invocations. A job is re-scored only when a delta actually touched
@@ -169,13 +165,6 @@ pub struct LlmSched {
     /// belief memos' (pure, bit-stable), so the merge — and the schedule
     /// — is bit-identical to scoring from scratch every time.
     frontier: HashMap<JobId, Vec<(StageId, f64)>>,
-    /// Scratch: `(job, su_cands_buf offset)` of each frontier miss in the
-    /// group being materialized (offsets delimit each job's candidates).
-    frontier_miss_buf: Vec<(JobId, usize)>,
-    /// Candidates scored via the worker-pool fork-join route since
-    /// construction/reset — observability only, never consulted by the
-    /// schedule itself.
-    par_scored: u64,
     /// Decision-provenance collection, flipped by the engine via
     /// [`Scheduler::set_telemetry`]. Observation-only: records are built
     /// from values both paths already computed, so the ε-greedy RNG
@@ -294,11 +283,7 @@ impl LlmSched {
             merge_emitted: HashMap::new(),
             st_mat_buf: Vec::new(),
             su_heap_buf: std::collections::BinaryHeap::new(),
-            su_cands_buf: Vec::new(),
-            su_scores_buf: Vec::new(),
             frontier: HashMap::new(),
-            frontier_miss_buf: Vec::new(),
-            par_scored: 0,
             telemetry: false,
             decisions: Vec::new(),
             name,
@@ -321,10 +306,11 @@ impl LlmSched {
         &self.store
     }
 
-    /// Number of Eq. 6 candidates scored on the engine's worker pool
-    /// (the fork-join route) since construction or the last reset.
+    /// Always 0: Eq. 6 scoring runs inline on the calling thread. Kept
+    /// because the repository benchmark still reports it as
+    /// `sched.par_scored`.
     pub fn par_scored(&self) -> u64 {
-        self.par_scored
+        0
     }
 
     // ------------------------------------------------------------------
@@ -615,11 +601,7 @@ impl LlmSched {
             ref mut merge_emitted,
             ref mut st_mat_buf,
             ref mut su_heap_buf,
-            ref mut su_cands_buf,
-            ref mut su_scores_buf,
             ref mut frontier,
-            ref mut frontier_miss_buf,
-            ref mut par_scored,
             ref mut decisions,
             ..
         } = *self;
@@ -670,12 +652,14 @@ impl LlmSched {
                     // Materialize the next non-overlapping group: scan the
                     // interval order, merging while lower bounds stay
                     // within the group's running upper bound (exactly
-                    // `non_overlapping_groups`), collecting the group's
-                    // ready-stage frontier as scoring candidates.
+                    // `non_overlapping_groups`), pushing the group's
+                    // scored ready-stage frontier into the heap. The
+                    // heap's order is total (ties break on unique
+                    // (job, stage)), so the pops — and with them the
+                    // ε-draw consumption — never observe the push order
+                    // or which jobs came out of the persistent frontier.
                     let mut cur_hi = f64::NEG_INFINITY;
                     let mut first = true;
-                    su_cands_buf.clear();
-                    frontier_miss_buf.clear();
                     while let Some(&(lo, id)) = iv_src.peek() {
                         if !first && lo > cur_hi {
                             break;
@@ -695,7 +679,8 @@ impl LlmSched {
                         // touched since its last scoring replays its
                         // persistent (stage, score) frontier straight
                         // into the heap — no job scan, no memo probes.
-                        // Only the misses fall through to `score_group`.
+                        // Only the misses are scored (Eq. 6, through the
+                        // per-job memos).
                         if let Some(fr) = frontier.get(&id) {
                             for &(s, r) in fr {
                                 heap.push(SuEntry {
@@ -706,47 +691,20 @@ impl LlmSched {
                                 });
                             }
                         } else {
-                            frontier_miss_buf.push((id, su_cands_buf.len()));
-                            for &s in ctx.jobs[idx].ready_stage_ids() {
-                                su_cands_buf.push((idx, s));
+                            let ready = ctx.jobs[idx].ready_stage_ids();
+                            let mut fr = Vec::with_capacity(ready.len());
+                            for &s in ready {
+                                let r = beliefs.reduction(store, cfg.mi, &ctx.jobs[idx], s);
+                                fr.push((s, r));
+                                heap.push(SuEntry {
+                                    score: FiniteF64(r),
+                                    tie: std::cmp::Reverse((id, s)),
+                                    job_idx: idx,
+                                    stage: s,
+                                });
                             }
+                            frontier.insert(id, fr);
                         }
-                    }
-                    // Score the missed jobs' candidates — fork-joined
-                    // across the engine's worker pool when one is attached
-                    // and the batch is wide enough to amortize the
-                    // fan-out, inline otherwise; bit-identical either way
-                    // (see `score_group`). The heap's order is total (ties
-                    // break on unique (job, stage)), so the pops — and
-                    // with them the ε-draw consumption — never observe
-                    // which route ran, the push order, or which jobs came
-                    // out of the persistent frontier.
-                    *par_scored += score_group(
-                        beliefs,
-                        store,
-                        cfg.mi,
-                        ctx,
-                        su_cands_buf,
-                        su_scores_buf,
-                        ctx.pool,
-                    );
-                    for (m, &(id, start)) in frontier_miss_buf.iter().enumerate() {
-                        let end = frontier_miss_buf
-                            .get(m + 1)
-                            .map_or(su_cands_buf.len(), |&(_, off)| off);
-                        let mut fr = Vec::with_capacity(end - start);
-                        for k in start..end {
-                            let (idx, s) = su_cands_buf[k];
-                            let r = su_scores_buf[k];
-                            fr.push((s, r));
-                            heap.push(SuEntry {
-                                score: FiniteF64(r),
-                                tie: std::cmp::Reverse((id, s)),
-                                job_idx: idx,
-                                stage: s,
-                            });
-                        }
-                        frontier.insert(id, fr);
                     }
                 }
                 let popped = heap.pop();
@@ -1077,80 +1035,6 @@ fn provenance_record(
     }
 }
 
-/// Minimum group frontier size before a scoring batch fans out across the
-/// worker pool: below this the per-task coordination costs more than the
-/// Eq. 6 inference being parallelized.
-const MIN_PAR_FRONTIER: usize = 16;
-
-/// Scores one non-overlapping group's ready-stage frontier (Eq. 6) into
-/// `scores` (kept parallel to `cands`); returns how many candidates were
-/// scored on the worker pool (0 on the inline route).
-///
-/// Three phases, equivalent to calling [`BeliefStore::reduction`] per
-/// candidate in order:
-/// 1. probe the per-job memos (sequential, read-only);
-/// 2. compute the misses — fork-joined across `pool` when one is attached
-///    and the miss count reaches [`MIN_PAR_FRONTIER`], inline otherwise.
-///    Compute takes `&BeliefStore`; the only shared write is the
-///    per-evidence MI memo behind its mutex, whose fills are pure
-///    functions of the key, so racing threads store identical bits;
-/// 3. commit the computed scores into the per-job memos (sequential) —
-///    exactly the mutations the sequential path performs.
-///
-/// The one observable difference from strict sequential order: two
-/// same-evidence candidates that would have shared an MI memo fill may
-/// both compute it concurrently. The values are identical, so the scores
-/// — and everything downstream — are bit-identical.
-fn score_group(
-    beliefs: &mut BeliefStore,
-    store: &ProfileStore,
-    mi: MiEstimator,
-    ctx: &SchedContext<'_>,
-    cands: &[(usize, StageId)],
-    scores: &mut Vec<f64>,
-    pool: Option<&llmsched_sim::par::WorkerPool>,
-) -> u64 {
-    scores.clear();
-    scores.resize(cands.len(), 0.0);
-    let mut misses: Vec<usize> = Vec::new();
-    for (k, &(idx, s)) in cands.iter().enumerate() {
-        match beliefs.memoized_reduction(ctx.jobs[idx].id(), s) {
-            Some(r) => scores[k] = r,
-            None => misses.push(k),
-        }
-    }
-    let mut fanned = 0u64;
-    let computed: Vec<f64> = match pool {
-        Some(pool) if misses.len() >= MIN_PAR_FRONTIER => {
-            fanned = misses.len() as u64;
-            let shared: &BeliefStore = beliefs;
-            let out: llmsched_sim::par::TaskSlots<f64> =
-                llmsched_sim::par::TaskSlots::new(misses.len());
-            pool.run(misses.len(), &|i| {
-                let (idx, s) = cands[misses[i]];
-                out.put(i, shared.score(store, mi, &ctx.jobs[idx], s));
-            });
-            out.into_inner()
-                .into_iter()
-                .map(|v| v.expect("every scoring task fills its slot"))
-                .collect()
-        }
-        _ => misses
-            .iter()
-            .map(|&k| {
-                let (idx, s) = cands[k];
-                beliefs.score(store, mi, &ctx.jobs[idx], s)
-            })
-            .collect(),
-    };
-    for (&k, r) in misses.iter().zip(computed) {
-        let (idx, s) = cands[k];
-        scores[k] = r;
-        beliefs.memoize_reduction(ctx.jobs[idx].id(), s, r);
-    }
-    fanned
-}
-
 /// Most-uncertainty-reduction-first ordering within one group (ties by
 /// (job id, stage id) so runs are deterministic).
 fn sort_scored(scored: &mut [(f64, StageRef)], ctx: &SchedContext<'_>) {
@@ -1249,7 +1133,6 @@ impl Scheduler for LlmSched {
         self.total_ready = ReadyProfile::default();
         self.frontier.clear();
         self.rng = StdRng::seed_from_u64(self.cfg.seed);
-        self.par_scored = 0;
         self.decisions.clear();
     }
 

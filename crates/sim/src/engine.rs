@@ -41,13 +41,9 @@ use llmsched_telemetry::{DecisionRecord, NoopProbe, Probe, ProbeEvent, WallReser
 pub use crate::exec::pool::EngineMode;
 
 use crate::event::{Event, EventQueue};
-use crate::exec::sharded::{run_shard, HookFx, ShardedBackend};
-use crate::exec::{pool, ExecCtx, ExecutorBackend, LlmTaskRef, Post};
+use crate::exec::{flush_posts, pool, ExecCtx, ExecutorBackend, LlmTaskRef, Post};
 use crate::latency::LatencyProfile;
 use crate::metrics::{JobOutcome, SimResult, Utilization};
-use crate::par::{
-    EventQueues, ParStats, Parallelism, ShardStats, ShardedQueue, TaskSlots, WorkerPool,
-};
 use crate::scheduler::{ActiveJobs, Preference, SchedContext, SchedDelta, Scheduler, TaskRef};
 use crate::state::{JobRt, LlmExecutorView, TaskState, Visibility};
 
@@ -75,12 +71,6 @@ pub struct ClusterConfig {
     /// [`EngineMode::Disagg`]: replica groups, routing policy, optional
     /// disaggregation. `None` derives a spec from the scalar fields above.
     pub spec: Option<ClusterSpec>,
-    /// Intra-simulation parallelism: [`Parallelism::Off`] runs the
-    /// sequential reference loop; partitioned settings shard the LLM
-    /// executor pool and the event core, stepping shards on scoped
-    /// worker threads between scheduler barriers. Every setting produces
-    /// bit-identical results (see `DESIGN.md` §10).
-    pub parallelism: Parallelism,
     /// Scheduler invocation coalescing: skip decision points at which no
     /// job has a ready, unstarted task (nothing could dispatch), carrying
     /// the accumulated deltas to the next real invocation. Policies see
@@ -98,18 +88,10 @@ pub struct ClusterConfig {
     /// i.e. guarantees an empty no-side-effect decision whenever
     /// [`SchedContext::could_dispatch`](crate::scheduler::SchedContext)
     /// is false. Deltas carry over exactly as under coalescing, elided
-    /// opportunities keep their sequence numbers, and on the partitioned
-    /// path an elided decision point is an elided *barrier*. On by
-    /// default; a no-op for policies that don't opt in (every policy
-    /// defaults to not-work-conserving). See `DESIGN.md` §13.
+    /// opportunities keep their sequence numbers. On by default; a no-op
+    /// for policies that don't opt in (every policy defaults to
+    /// not-work-conserving). See `DESIGN.md` §13.
     pub elision: bool,
-    /// Worker-pool size override: `None` (the default) sizes the
-    /// persistent pool to [`std::thread::available_parallelism`] and
-    /// skips building one entirely on single-thread hosts; `Some(n)`
-    /// forces an `n`-thread pool (and `n`-way threading gates), which is
-    /// how the determinism suites exercise the threaded paths on
-    /// single-core CI runners.
-    pub pool_threads: Option<usize>,
     /// Bounded-staleness decision batching: with `Some(ε)` (simulated
     /// seconds, ε > 0), a decision point falling within ε of the previous
     /// policy invocation is *deferred* — its deltas keep accumulating on
@@ -122,9 +104,7 @@ pub struct ClusterConfig {
     /// engine without this field (pinned by `tests/batching_equiv.rs`).
     /// ε > 0 is a *relaxation*: dispatch can lag a ready task by at most
     /// ε, bounding the avg-JCT drift (gated at ≤ 0.5 % by
-    /// `scale_throughput --check`), and on the partitioned path every
-    /// deferred decision point is a deleted scheduler barrier. See
-    /// `DESIGN.md` §14.
+    /// `scale_throughput --check`). See `DESIGN.md` §14.
     pub decision_horizon: Option<f64>,
 }
 
@@ -138,10 +118,8 @@ impl Default for ClusterConfig {
             mode: EngineMode::Analytic,
             iteration_chunk: 1,
             spec: None,
-            parallelism: Parallelism::Off,
             coalescing: true,
             elision: true,
-            pool_threads: None,
             decision_horizon: None,
         }
     }
@@ -151,8 +129,7 @@ impl Default for ClusterConfig {
 /// A macro (not a method) so the disjoint field borrows stay visible to
 /// the borrow checker at each call site. Hooks buffer their events into
 /// `posts`; the engine flushes them via `flush_own_posts` immediately
-/// after the hook returns, so the sequential event order is unchanged
-/// from the pre-buffering engine.
+/// after the hook returns, so events are queued in emission order.
 macro_rules! exec_ctx {
     ($self:ident) => {
         ExecCtx {
@@ -168,29 +145,6 @@ macro_rules! exec_ctx {
     };
 }
 
-/// The engine's backend holder: one monolithic trait object on the
-/// sequential path, the partitioned wrapper otherwise.
-enum Backend {
-    Mono(Box<dyn ExecutorBackend>),
-    Sharded(ShardedBackend),
-}
-
-impl Backend {
-    fn get(&self) -> &dyn ExecutorBackend {
-        match self {
-            Backend::Mono(b) => &**b,
-            Backend::Sharded(s) => s,
-        }
-    }
-
-    fn get_mut(&mut self) -> &mut dyn ExecutorBackend {
-        match self {
-            Backend::Mono(b) => &mut **b,
-            Backend::Sharded(s) => s,
-        }
-    }
-}
-
 struct Engine<'a> {
     cfg: &'a ClusterConfig,
     templates: &'a TemplateSet,
@@ -202,36 +156,13 @@ struct Engine<'a> {
     /// scheduler contexts as a borrowed projection; membership changes
     /// incrementally at arrivals/completions.
     active: Vec<u32>,
-    queue: EventQueues,
+    queue: EventQueue,
     now: SimTime,
     regular_busy: usize,
-    llm: Backend,
+    llm: Box<dyn ExecutorBackend>,
     /// Hook post buffer: backends emit into it via [`ExecCtx`], the
     /// engine drains it right after each hook (capacity is reused).
     posts: Vec<Post>,
-    /// Effective shard count (1 = the sequential reference path).
-    parts: usize,
-    /// Same-timestamp rounds processed on the partitioned path.
-    rounds: u64,
-    /// Rounds whose hook work actually ran on ≥ 2 worker threads.
-    par_rounds: u64,
-    /// Scheduler barriers: iterations of the partitioned outer loop (each
-    /// evaluates at most one scheduler opportunity).
-    barriers: u64,
-    /// Conservative-window rounds that batched ≥ 1 event past a barrier.
-    windows: u64,
-    /// `Parallelism::Auto` demotion latch: set when a long prefix of
-    /// rounds never threaded; all later rounds run inline.
-    demoted: bool,
-    /// Effective thread budget: [`ClusterConfig::pool_threads`] if set,
-    /// else [`std::thread::available_parallelism`], cached once per run —
-    /// window threading (and the pool itself) is skipped outright when
-    /// this is 1.
-    hw_threads: usize,
-    /// The persistent parked-worker pool (`None` when `hw_threads < 2`):
-    /// shard window stepping and policy-side parallel scoring share it,
-    /// so per-round thread-spawn overhead is paid once per *run*.
-    pool: Option<crate::par::WorkerPool>,
     /// Ready, unstarted tasks across active jobs — the dispatchable-work
     /// count behind scheduler-invocation coalescing. Maintained
     /// incrementally at arrivals, dispatches and completion cascades.
@@ -259,17 +190,6 @@ struct Engine<'a> {
     /// Deferrals folded into the *next* invocation (reset when it runs) —
     /// surfaced as `SchedInvoked::folded` provenance.
     deferred_fold: u32,
-    /// Reused per-shard event-count scratch for inline-round attribution
-    /// (sized `parts`; see [`ShardStats`]).
-    inline_counts: Vec<u64>,
-    /// All job arrival times, sorted ascending, with an advancing cursor —
-    /// the window bound's "next arrival" input.
-    arrivals: Vec<SimTime>,
-    arrival_ptr: usize,
-    /// Outstanding regular-task finish times (min-heap). Regular finishes
-    /// are never re-timed, so entries ≤ `now` have fired and are lazily
-    /// popped; the head is the window bound's regular-work input.
-    regular_finishes: std::collections::BinaryHeap<std::cmp::Reverse<SimTime>>,
     /// Cached [`ExecutorBackend::descriptor`] (e.g. `"cluster/jsq"`),
     /// lent to scheduler contexts and moved into the result.
     backend_desc: String,
@@ -296,8 +216,6 @@ struct Engine<'a> {
     probe_on: bool,
     /// Reused buffer for [`Scheduler::drain_provenance`] records.
     prov_buf: Vec<DecisionRecord>,
-    /// Per-shard work breakdown on the partitioned path (empty otherwise).
-    shard_stats: Vec<ShardStats>,
 }
 
 /// Runs one simulation to completion.
@@ -364,52 +282,18 @@ pub fn simulate_probed(
         "jobs must be submitted in strictly ascending JobId order"
     );
 
-    // Partitioned path: replace the monolithic backend with disjoint
-    // shards and the single heap with per-shard heaps merged on the
-    // global `(time, seq)` key. One shard (or one executor, or a
-    // single-core host under `Auto`) degrades to the sequential loop.
-    let parts = cfg.parallelism.resolve(llm.n_execs());
-    let (llm, queue) = if parts > 1 {
-        let sharded = ShardedBackend::build(cfg, parts);
-        debug_assert_eq!(sharded.n_execs(), llm.n_execs());
-        let exec_shard = (0..sharded.n_execs())
-            .map(|e| sharded.shard_of(e))
-            .collect();
-        (
-            Backend::Sharded(sharded),
-            EventQueues::Sharded(ShardedQueue::new(parts, exec_shard, jobs.len() + 64)),
-        )
-    } else {
-        (
-            Backend::Mono(llm),
-            EventQueues::Single(EventQueue::with_capacity(jobs.len() + 64)),
-        )
-    };
-    let backend_desc = llm.get().descriptor();
+    let backend_desc = llm.descriptor();
     let probe_on = probe.enabled();
-    let hw_threads = cfg.pool_threads.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
     let mut engine = Engine {
         cfg,
         templates,
+        queue: EventQueue::with_capacity(jobs.len() + 64),
         jobs: jobs.into_iter().map(JobRt::new).collect(),
         active: Vec::new(),
-        queue,
         now: SimTime::ZERO,
         regular_busy: 0,
         llm,
         posts: Vec::new(),
-        parts,
-        rounds: 0,
-        par_rounds: 0,
-        barriers: 0,
-        windows: 0,
-        demoted: false,
-        hw_threads,
-        pool: (hw_threads >= 2).then(|| crate::par::WorkerPool::new(hw_threads)),
         ready_unstarted: 0,
         ready_reg: 0,
         ready_llm: 0,
@@ -422,10 +306,6 @@ pub fn simulate_probed(
         flush_at: None,
         sched_deferred: 0,
         deferred_fold: 0,
-        inline_counts: vec![0; parts],
-        arrivals: Vec::new(),
-        arrival_ptr: 0,
-        regular_finishes: std::collections::BinaryHeap::new(),
         backend_desc,
         llm_views: Vec::new(),
         deltas: Vec::new(),
@@ -441,11 +321,6 @@ pub fn simulate_probed(
         probe,
         probe_on,
         prov_buf: Vec::new(),
-        shard_stats: if parts > 1 {
-            vec![ShardStats::default(); parts]
-        } else {
-            Vec::new()
-        },
     };
     engine.run(scheduler)
 }
@@ -457,13 +332,7 @@ impl Engine<'_> {
         for (i, j) in self.jobs.iter().enumerate() {
             self.queue.push(j.spec.arrival(), Event::Arrival { job: i });
         }
-        self.arrivals = self.jobs.iter().map(|j| j.spec.arrival()).collect();
-        self.arrivals.sort_unstable();
-        if self.parts > 1 {
-            self.run_partitioned(scheduler);
-        } else {
-            self.run_sequential(scheduler);
-        }
+        self.run_loop(scheduler);
         let makespan = self
             .outcomes
             .iter()
@@ -471,7 +340,7 @@ impl Engine<'_> {
             .max()
             .unwrap_or(SimTime::ZERO);
         let horizon = makespan.as_secs_f64().max(f64::MIN_POSITIVE);
-        let slots = pool::total_slots(self.llm.get()) as f64;
+        let slots = pool::total_slots(&*self.llm) as f64;
         SimResult {
             scheduler: scheduler.name().to_string(),
             backend: std::mem::take(&mut self.backend_desc),
@@ -487,32 +356,17 @@ impl Engine<'_> {
                 regular_busy_frac: self.reg_busy_integral
                     / (self.cfg.regular_executors as f64 * horizon),
                 llm_slot_frac: self.llm_slot_integral / (slots * horizon),
-                llm_active_frac: self.llm_active_integral
-                    / (self.llm.get().n_execs() as f64 * horizon),
+                llm_active_frac: self.llm_active_integral / (self.llm.n_execs() as f64 * horizon),
             },
             events: self.events,
             incomplete: self.jobs.iter().filter(|j| !j.is_complete()).count(),
-            par: (self.parts > 1).then(|| ParStats {
-                partitions: self.parts,
-                rounds: self.rounds,
-                parallel_rounds: self.par_rounds,
-                barriers: self.barriers,
-                windows: self.windows,
-                demoted: self.demoted,
-                per_shard: std::mem::take(&mut self.shard_stats),
-                pool_threads: self.pool.as_ref().map_or(0, |p| p.threads()),
-                pool_busy: self
-                    .pool
-                    .as_ref()
-                    .map_or_else(Vec::new, |p| p.worker_busy()),
-            }),
             timeseries: self.probe.take_timeseries(makespan),
         }
     }
 
-    /// The single-threaded reference loop — the oracle every partitioned
-    /// run is equivalence-tested against.
-    fn run_sequential(&mut self, scheduler: &mut dyn Scheduler) {
+    /// The event loop: pop every event of the earliest timestamp, then
+    /// evaluate at most one scheduler decision point there.
+    fn run_loop(&mut self, scheduler: &mut dyn Scheduler) {
         loop {
             // A pending batched decision strictly before every queued
             // event fires on its own: advance the clock to the horizon
@@ -552,18 +406,17 @@ impl Engine<'_> {
         }
     }
 
-    /// One scheduler decision point; returns whether the policy was
-    /// actually invoked. With coalescing on and nothing dispatchable the
-    /// invocation is skipped outright — the pending deltas stay queued
-    /// for the next real invocation, and the opportunity still consumes
-    /// a sequence number so provenance streams align bit-for-bit with an
-    /// uncoalesced run (whose policies short-circuit on
-    /// `dispatchable == 0` and decide nothing). With elision on and a
+    /// One scheduler decision point. With coalescing on and nothing
+    /// dispatchable the invocation is skipped outright — the pending
+    /// deltas stay queued for the next real invocation, and the
+    /// opportunity still consumes a sequence number so provenance streams
+    /// align bit-for-bit with an uncoalesced run (whose policies
+    /// short-circuit on `dispatchable == 0` and decide nothing). With elision on and a
     /// work-conserving policy, decision points whose ready work has no
     /// free executor of the matching class are skipped the same way: the
     /// policy's `!could_dispatch` early-return guarantees the elided
     /// invocation would have decided nothing and touched no state.
-    fn scheduler_opportunity(&mut self, scheduler: &mut dyn Scheduler) -> bool {
+    fn scheduler_opportunity(&mut self, scheduler: &mut dyn Scheduler) {
         debug_assert_eq!(
             self.ready_unstarted,
             self.active
@@ -582,11 +435,11 @@ impl Engine<'_> {
         );
         if self.cfg.coalescing && self.ready_unstarted == 0 {
             self.sched_skipped += 1;
-            return false;
+            return;
         }
         if self.cfg.elision && !self.could_dispatch() && scheduler.is_work_conserving() {
             self.sched_elided += 1;
-            return false;
+            return;
         }
         // Bounded-staleness batching (after the free skips — deferring a
         // point that coalescing or elision would discard anyway would
@@ -601,12 +454,11 @@ impl Engine<'_> {
                     self.flush_at = Some(edge);
                     self.sched_deferred += 1;
                     self.deferred_fold += 1;
-                    return false;
+                    return;
                 }
             }
         }
         self.invoke_scheduler(scheduler);
-        true
     }
 
     /// The capacity-aware elision predicate: true iff at least one ready,
@@ -619,646 +471,26 @@ impl Engine<'_> {
     /// and the engine-side elision can never disagree.
     fn could_dispatch(&self) -> bool {
         (self.ready_reg > 0 && self.regular_busy < self.cfg.regular_executors)
-            || (self.ready_llm > 0 && pool::has_free_slot(self.llm.get()))
-    }
-
-    /// The partitioned loop: drain one timestamp as one or more event
-    /// *rounds*, fanning each round's backend-hook work out to shard
-    /// worker threads and replaying the effects in exact `(time, seq)`
-    /// order, then hit the scheduler barrier. Same-timestamp events a
-    /// round posts get strictly larger sequence numbers than everything
-    /// already queued, so the round decomposition reproduces the
-    /// sequential inner drain order exactly.
-    ///
-    /// After each barrier a conservative lookahead window is negotiated
-    /// ([`Engine::window_bound`]): every queued event strictly before the
-    /// bound is provably unable to change dispatchable state, so the
-    /// whole span is drained as one batched round with no barriers in
-    /// between — this is what turns ~1 event per barrier into hundreds.
-    fn run_partitioned(&mut self, scheduler: &mut dyn Scheduler) {
-        let mut batch: Vec<(SimTime, Event)> = Vec::new();
-        let mut wbatch: Vec<(u128, SimTime, Event)> = Vec::new();
-        let mut items: Vec<Vec<(u32, SimTime, Event)>> = vec![Vec::new(); self.parts];
-        let mut fx: Vec<Option<HookFx>> = Vec::new();
-        let auto = self.cfg.parallelism == Parallelism::Auto;
-        loop {
-            // Batched decision pending strictly before every queued event:
-            // advance to the horizon edge and evaluate the folded decision
-            // point. The invocation is a real synchronization point (it
-            // dispatches into the sharded backend), so it counts a
-            // barrier — but it replaces every barrier its deferred
-            // constituents would have cost.
-            if let Some(f) = self.flush_at {
-                if self.queue.peek_time().map_or(true, |t| f < t) {
-                    self.flush_at = None;
-                    self.advance_integrals(f);
-                    self.now = f;
-                    if self.has_free_capacity()
-                        && !self.active.is_empty()
-                        && self.scheduler_opportunity(scheduler)
-                    {
-                        self.barriers += 1;
-                    }
-                    // The batched decision ran (or provably skipped) at
-                    // the edge, so this is a window anchor like any other
-                    // barrier: without it, the stale span behind the next
-                    // real decision point degenerates into one dead
-                    // iteration — one counted barrier — per timestamp,
-                    // and the relaxation leaks the very barriers it
-                    // deleted.
-                    if let Some(head) = self.queue.peek_time() {
-                        if let Some(w) = self.window_bound(head) {
-                            self.run_window(w, &mut wbatch, &mut items, &mut fx);
-                        }
-                    }
-                    continue;
-                }
-            }
-            let Some(t) = self.queue.peek_time() else {
-                break;
-            };
-            if auto && !self.demoted && crate::par::should_demote(self.rounds, self.par_rounds) {
-                // A long all-inline prefix: the workload never yields
-                // co-timed cross-shard work, so stop paying the routing
-                // overhead and run the rest of the simulation inline.
-                self.demoted = true;
-            }
-            self.advance_integrals(t);
-            self.now = t;
-            let mut effective = false;
-            loop {
-                batch.clear();
-                while self.queue.peek_time() == Some(t) {
-                    batch.push(self.queue.pop().expect("peeked"));
-                }
-                self.rounds += 1;
-                effective |= self.process_round(&batch, &mut items, &mut fx);
-                if self.queue.peek_time() != Some(t) {
-                    break;
-                }
-            }
-            // Barrier accounting: an iteration costs a synchronization
-            // point when its decision either had to run (the policy was
-            // invoked) or offered no scheduler opportunity at all (no
-            // effective event / no capacity / no active job — the loop
-            // still synchronized at `t`). Opportunities coalesced, elided
-            // or deferred away cost nothing: proving the skip needed only
-            // the engine's own counters, no cross-shard rendezvous —
-            // under a staleness horizon every deferred decision point is
-            // a deleted barrier.
-            let flush_due = self.flush_at.is_some_and(|f| f <= t);
-            if flush_due {
-                self.flush_at = None;
-            }
-            if (effective || flush_due) && self.has_free_capacity() && !self.active.is_empty() {
-                if self.scheduler_opportunity(scheduler) {
-                    self.barriers += 1;
-                }
-            } else {
-                self.barriers += 1;
-            }
-            // The scheduler (or its skip) ran at `t`; dispatches above are
-            // reflected in the backend, so the bound is computed on the
-            // post-decision state.
-            if let Some(head) = self.queue.peek_time() {
-                if let Some(w) = self.window_bound(head) {
-                    self.run_window(w, &mut wbatch, &mut items, &mut fx);
-                }
-            }
-        }
-    }
-
-    /// The conservative lookahead bound: the earliest future time at which
-    /// anything *scheduler-relevant* can happen. Strictly before the
-    /// returned time there is provably no job arrival, no regular-task
-    /// finish, and — per [`ExecutorBackend::lookahead`] — no valid LLM
-    /// task finish and no effective step. Every queued event in the open
-    /// interval `(now, bound)` is therefore stale or ineffective: it
-    /// changes no engine state, so the sequential oracle would evaluate
-    /// zero scheduler opportunities across the span.
-    ///
-    /// Returns `Some(bound)` only when the queue head at `head` lies
-    /// strictly inside the window. The three terms are checked cheapest
-    /// first — the backend lookahead (a scan over every batching unit)
-    /// is skipped entirely whenever the O(1) arrival or regular-finish
-    /// term already caps the window at or before `head`, which is the
-    /// common case at every real dispatch point.
-    fn window_bound(&mut self, head: SimTime) -> Option<SimTime> {
-        // A pending batched decision caps the window outright: the folded
-        // invocation at the horizon edge dispatches into the backend, so
-        // no event at or past the edge may replay barrier-free.
-        if let Some(f) = self.flush_at {
-            if head >= f {
-                return None;
-            }
-        }
-        while self
-            .arrivals
-            .get(self.arrival_ptr)
-            .is_some_and(|&a| a <= self.now)
-        {
-            self.arrival_ptr += 1;
-        }
-        let arrival = self
-            .arrivals
-            .get(self.arrival_ptr)
-            .copied()
-            .unwrap_or(SimTime(u64::MAX));
-        if head >= arrival {
-            return None;
-        }
-        while self
-            .regular_finishes
-            .peek()
-            .is_some_and(|r| r.0 <= self.now)
-        {
-            self.regular_finishes.pop();
-        }
-        let regular = self
-            .regular_finishes
-            .peek()
-            .map(|r| r.0)
-            .unwrap_or(SimTime(u64::MAX));
-        if head >= regular {
-            return None;
-        }
-        let llm = self.llm.get().lookahead(self.now, &self.cfg.latency);
-        let flush = self.flush_at.unwrap_or(SimTime(u64::MAX));
-        let w = arrival.min(regular).min(llm).min(flush);
-        (head < w).then_some(w)
-    }
-
-    /// Drains every queued event strictly before `w` as one batched round
-    /// with no scheduler barriers. Small windows (up to
-    /// [`par::WINDOW_THREAD_MIN_EVENTS`] events, the common case) drain
-    /// inline: live pops already come out in exact `(time, seq)` order,
-    /// so they pay no buffering at all — and when threading is
-    /// impossible (one hardware thread, or `Auto` demoted) the whole
-    /// window drains that way. Anything past that budget is
-    /// collected into a batch whose shard-routable events run phase A on
-    /// worker threads (when the batch clears
-    /// [`par::should_thread_window`] and `Auto` has not demoted), then
-    /// replays in exact global `(time, seq)` order, live-interleaving
-    /// any in-window events the replay itself posts (token-iteration
-    /// boundaries). `now` and the utilization integrals advance per
-    /// timestamp either way, so `UtilSample` spans — and with them the
-    /// windowed time-series — are bit-identical to the sequential run.
-    /// Debug builds assert that no window event changes state
-    /// ("lookahead bound violated").
-    fn run_window(
-        &mut self,
-        w: SimTime,
-        batch: &mut Vec<(u128, SimTime, Event)>,
-        items: &mut [Vec<(u32, SimTime, Event)>],
-        fx: &mut Vec<Option<HookFx>>,
-    ) {
-        self.windows += 1;
-        self.rounds += 1;
-        // Phase 1: drain the window head inline. Live pops already come
-        // out in exact `(time, seq)` order — including any events the
-        // replay posts back into the window — so small windows (the
-        // common case) pay no buffering, no effect table, and no
-        // interleave bookkeeping; this is literally the sequential loop
-        // restricted to `t < w`, minus the scheduler stops the bound
-        // proves pointless.
-        let w_key = (w.0 as u128) << 64;
-        // When threading is off the table (single hardware thread, or
-        // `Auto` demoted), the budget is unlimited: the whole window
-        // drains inline and phase 2 never runs.
-        let mut inline_budget = if self.hw_threads >= 2 && !self.demoted {
-            crate::par::WINDOW_THREAD_MIN_EVENTS
-        } else {
-            usize::MAX
-        };
-        let drain_start = std::time::Instant::now();
-        let mut drained = 0u64;
-        while inline_budget > 0 && self.queue.peek_key().is_some_and(|k| k < w_key) {
-            let (_, t, ev) = self.queue.pop_keyed().expect("peeked");
-            if let Some(s) = self.shard_of_event(&ev) {
-                self.inline_counts[s] += 1;
-            }
-            if t > self.now {
-                self.advance_integrals(t);
-                self.now = t;
-            }
-            let changed = self.apply(ev);
-            debug_assert!(
-                !changed,
-                "lookahead bound violated: event {ev:?} at {t:?} changed state inside \
-                 the window ending at {w:?}"
-            );
-            inline_budget -= 1;
-            drained += 1;
-        }
-        // Inline window work is attributed to the shards that own the
-        // events (it would have run on their worker threads under a
-        // larger budget); single-event drains skip the clock.
-        self.attribute_inline((drained > 1).then(|| drain_start.elapsed()));
-        if !self.queue.peek_key().is_some_and(|k| k < w_key) {
-            return;
-        }
-        // Phase 2: the window outlived the inline budget — buffer the
-        // remainder so its hook work can fan out across shard threads.
-        batch.clear();
-        while self.queue.peek_time().is_some_and(|t| t < w) {
-            batch.push(self.queue.pop_keyed().expect("peeked"));
-        }
-        fx.clear();
-        fx.resize_with(batch.len(), || None);
-        if !self.demoted && batch.len() >= crate::par::WINDOW_THREAD_MIN_EVENTS {
-            self.classify_and_thread_window(batch, items, fx);
-        }
-        // Replay in exact global key order. Before each batch item, drain
-        // any events the replay has posted back *into* the window whose
-        // keys sort earlier — they run live through `apply`, exactly
-        // where the sequential loop would have popped them.
-        for i in 0..batch.len() {
-            let (key, t, ev) = batch[i];
-            self.drain_window_live(key, w);
-            if t > self.now {
-                self.advance_integrals(t);
-                self.now = t;
-            }
-            let changed = match fx[i].take() {
-                None => self.apply(ev),
-                Some(HookFx::Finish { valid, posts }) => {
-                    self.events += 1;
-                    if valid {
-                        let Event::TaskFinish {
-                            job, stage, task, ..
-                        } = ev
-                        else {
-                            unreachable!("finish effects come from finish events")
-                        };
-                        self.finish_task_with(job, stage, task, Some(posts));
-                        true
-                    } else {
-                        false
-                    }
-                }
-                Some(HookFx::Step {
-                    finished,
-                    effective,
-                    posts,
-                }) => {
-                    self.events += 1;
-                    let any = !finished.is_empty() || effective;
-                    self.flush_recorded(posts);
-                    for f in &finished {
-                        self.finish_task(f.job, f.stage, f.task);
-                    }
-                    any
-                }
-            };
-            debug_assert!(
-                !changed,
-                "lookahead bound violated: event {ev:?} at {t:?} changed state inside \
-                 the window ending at {w:?}"
-            );
-        }
-        self.drain_window_live(u128::MAX, w);
-    }
-
-    /// The expensive half of [`Engine::run_window`], entered only for
-    /// windows at or above [`par::WINDOW_THREAD_MIN_EVENTS`]: assigns
-    /// each hook-bearing event to the shard owning its executor, and —
-    /// when ≥ 2 shards have work — runs the shard hooks concurrently
-    /// across the persistent [`WorkerPool`], recording their [`HookFx`]
-    /// effects into `fx` for the in-order replay.
-    fn classify_and_thread_window(
-        &mut self,
-        batch: &[(u128, SimTime, Event)],
-        items: &mut [Vec<(u32, SimTime, Event)>],
-        fx: &mut [Option<HookFx>],
-    ) {
-        for v in items.iter_mut() {
-            v.clear();
-        }
-        {
-            let Backend::Sharded(sharded) = &self.llm else {
-                unreachable!("partitioned loop runs on the sharded backend")
-            };
-            for (i, &(_, time, ev)) in batch.iter().enumerate() {
-                let shard = match ev {
-                    Event::LlmStep { exec, .. } => Some(sharded.shard_of(exec)),
-                    Event::TaskFinish {
-                        job, stage, task, ..
-                    } => match self.jobs[job].task_state_of(stage, task) {
-                        TaskState::Running { exec: Some(e) } => Some(sharded.shard_of(e as usize)),
-                        _ => None,
-                    },
-                    Event::Arrival { .. } => {
-                        unreachable!("window bound is capped by the next arrival")
-                    }
-                };
-                if let Some(s) = shard {
-                    items[s].push((i as u32, time, ev));
-                }
-            }
-        }
-        for (s, v) in items.iter().enumerate() {
-            if !v.is_empty() {
-                self.shard_stats[s].batches += 1;
-                self.shard_stats[s].events += v.len() as u64;
-            }
-        }
-        let busy = items.iter().filter(|v| !v.is_empty()).count();
-        if !crate::par::should_thread_window(batch.len(), busy, self.hw_threads) {
-            return;
-        }
-        self.par_rounds += 1;
-        let results = {
-            let pool = self
-                .pool
-                .as_ref()
-                .expect("threaded rounds only run with the worker pool up");
-            let Backend::Sharded(sharded) = &mut self.llm else {
-                unreachable!("partitioned loop runs on the sharded backend")
-            };
-            let bases: Vec<usize> = sharded.bases().to_vec();
-            let shards = sharded.shards_dyn_mut();
-            let jobs: &[JobRt] = &self.jobs;
-            let latency = &self.cfg.latency;
-            let items: &[Vec<(u32, SimTime, Event)>] = items;
-            run_shards_pooled(pool, shards, &bases, items, jobs, latency)
-        };
-        for (s, busy, shard_fx) in results {
-            self.shard_stats[s].threaded_batches += 1;
-            self.shard_stats[s].busy += busy;
-            if self.probe_on {
-                self.probe.record(&ProbeEvent::ShardRound {
-                    at: self.now,
-                    round: self.rounds,
-                    shard: s as u32,
-                    events: items[s].len() as u32,
-                    busy,
-                });
-            }
-            for (idx, f) in shard_fx {
-                fx[idx as usize] = Some(f);
-            }
-        }
-    }
-
-    /// The shard owning an event's executor (`None` for arrivals, regular
-    /// finishes, and stale finishes) — the same classification the
-    /// threaded paths run, exposed for inline-round attribution. Must be
-    /// consulted *before* [`Engine::apply`], which may retire the task
-    /// state the classification reads.
-    fn shard_of_event(&self, ev: &Event) -> Option<usize> {
-        let Backend::Sharded(sharded) = &self.llm else {
-            return None;
-        };
-        match *ev {
-            Event::LlmStep { exec, .. } => Some(sharded.shard_of(exec)),
-            Event::TaskFinish {
-                job, stage, task, ..
-            } => match self.jobs[job].task_state_of(stage, task) {
-                TaskState::Running { exec: Some(e) } => Some(sharded.shard_of(e as usize)),
-                _ => None,
-            },
-            Event::Arrival { .. } => None,
-        }
-    }
-
-    /// Folds this round's inline per-shard event counts
-    /// (`inline_counts`) into `shard_stats`, optionally spreading a
-    /// whole-drain wall-clock measurement pro rata by event count (the
-    /// documented approximation for inline busy time; un-timed rounds
-    /// pass `None`). Resets the scratch for the next round.
-    fn attribute_inline(&mut self, elapsed: Option<std::time::Duration>) {
-        let total: u64 = self.inline_counts.iter().sum();
-        if total == 0 {
-            return;
-        }
-        for s in 0..self.inline_counts.len() {
-            let c = self.inline_counts[s];
-            if c == 0 {
-                continue;
-            }
-            self.inline_counts[s] = 0;
-            self.shard_stats[s].batches += 1;
-            self.shard_stats[s].events += c;
-            if let Some(e) = elapsed {
-                self.shard_stats[s].busy += e.mul_f64(c as f64 / total as f64);
-            }
-        }
-    }
-
-    /// Live-applies queued events with keys before `key` and times before
-    /// `w` (events the window replay posted back into its own span).
-    fn drain_window_live(&mut self, key: u128, w: SimTime) {
-        // `time < w` is exactly `key < w<<64` on the packed `(time, seq)`
-        // key, so a single peek bounds both the replay order and the
-        // window end.
-        let cap = key.min((w.0 as u128) << 64);
-        while self.queue.peek_key().is_some_and(|k| k < cap) {
-            let (_, t, ev) = self.queue.pop_keyed().expect("peeked");
-            if t > self.now {
-                self.advance_integrals(t);
-                self.now = t;
-            }
-            let changed = self.apply(ev);
-            debug_assert!(
-                !changed,
-                "lookahead bound violated: replay-posted event {ev:?} at {t:?} changed \
-                 state inside the window ending at {w:?}"
-            );
-        }
-    }
-
-    /// Processes one same-timestamp event round. Hook-bearing events
-    /// (`LlmStep`s and `TaskFinish`es whose task currently runs on an
-    /// LLM executor) are assigned to the shard owning that executor;
-    /// when ≥ 2 shards have work, the shards run concurrently across the
-    /// persistent [`WorkerPool`] with read-only access to the job table,
-    /// and their recorded [`HookFx`] effects are replayed here in batch
-    /// order. Rounds with ≤ 1 busy shard take the inline sequential
-    /// path — identical semantics, no thread launch.
-    fn process_round(
-        &mut self,
-        batch: &[(SimTime, Event)],
-        items: &mut [Vec<(u32, SimTime, Event)>],
-        fx: &mut Vec<Option<HookFx>>,
-    ) -> bool {
-        // Single-event rounds — the overwhelmingly common case outside
-        // co-timed bursts — can never engage a second shard, demoted
-        // runs never thread at all, and a single hardware thread makes
-        // spawning pure overhead: apply in place, skipping routing.
-        // Shard attribution still happens (a cheap state read per
-        // event), so `per_shard` reflects real work even on hosts where
-        // nothing ever threads.
-        if self.demoted || self.hw_threads < 2 || batch.len() < 2 {
-            let mut effective = false;
-            for &(_, ev) in batch {
-                if let Some(s) = self.shard_of_event(&ev) {
-                    self.inline_counts[s] += 1;
-                }
-                effective |= self.apply(ev);
-            }
-            self.attribute_inline(None);
-            return effective;
-        }
-        for v in items.iter_mut() {
-            v.clear();
-        }
-        {
-            let Backend::Sharded(sharded) = &self.llm else {
-                unreachable!("partitioned loop runs on the sharded backend")
-            };
-            for (i, &(time, ev)) in batch.iter().enumerate() {
-                let shard = match ev {
-                    Event::LlmStep { exec, .. } => Some(sharded.shard_of(exec)),
-                    Event::TaskFinish {
-                        job, stage, task, ..
-                    } => match self.jobs[job].task_state_of(stage, task) {
-                        TaskState::Running { exec: Some(e) } => Some(sharded.shard_of(e as usize)),
-                        // Regular tasks and already-stale events stay on
-                        // the main thread (`apply` handles them).
-                        _ => None,
-                    },
-                    Event::Arrival { .. } => None,
-                };
-                if let Some(s) = shard {
-                    items[s].push((i as u32, time, ev));
-                }
-            }
-        }
-        for (s, v) in items.iter().enumerate() {
-            if !v.is_empty() {
-                self.shard_stats[s].batches += 1;
-                self.shard_stats[s].events += v.len() as u64;
-            }
-        }
-        if items.iter().filter(|v| !v.is_empty()).count() < 2 {
-            // At most one shard has hook work: threading buys nothing.
-            let mut effective = false;
-            for &(_, ev) in batch {
-                effective |= self.apply(ev);
-            }
-            return effective;
-        }
-        self.par_rounds += 1;
-        fx.clear();
-        fx.resize_with(batch.len(), || None);
-        let results = {
-            let pool = self
-                .pool
-                .as_ref()
-                .expect("threaded rounds only run with the worker pool up");
-            let Backend::Sharded(sharded) = &mut self.llm else {
-                unreachable!("partitioned loop runs on the sharded backend")
-            };
-            let bases: Vec<usize> = sharded.bases().to_vec();
-            let shards = sharded.shards_dyn_mut();
-            let jobs: &[JobRt] = &self.jobs;
-            let latency = &self.cfg.latency;
-            let items: &[Vec<(u32, SimTime, Event)>] = items;
-            run_shards_pooled(pool, shards, &bases, items, jobs, latency)
-        };
-        for (s, busy, shard_fx) in results {
-            self.shard_stats[s].threaded_batches += 1;
-            self.shard_stats[s].busy += busy;
-            if self.probe_on {
-                self.probe.record(&ProbeEvent::ShardRound {
-                    at: self.now,
-                    round: self.rounds,
-                    shard: s as u32,
-                    events: items[s].len() as u32,
-                    busy,
-                });
-            }
-            for (idx, f) in shard_fx {
-                fx[idx as usize] = Some(f);
-            }
-        }
-        // Replay: exact batch (= sequential pop) order. Events without
-        // recorded effects run the normal sequential apply; recorded
-        // effects are flushed at the point the live hook would have run.
-        let mut effective = false;
-        for (i, &(_, ev)) in batch.iter().enumerate() {
-            match fx[i].take() {
-                None => effective |= self.apply(ev),
-                Some(HookFx::Finish { valid, posts }) => {
-                    self.events += 1;
-                    if valid {
-                        let Event::TaskFinish {
-                            job, stage, task, ..
-                        } = ev
-                        else {
-                            unreachable!("finish effects come from finish events")
-                        };
-                        self.finish_task_with(job, stage, task, Some(posts));
-                        effective = true;
-                    }
-                }
-                Some(HookFx::Step {
-                    finished,
-                    effective: step_effective,
-                    posts,
-                }) => {
-                    self.events += 1;
-                    self.flush_recorded(posts);
-                    for f in &finished {
-                        self.finish_task(f.job, f.stage, f.task);
-                    }
-                    effective |= step_effective;
-                }
-            }
-        }
-        effective
+            || (self.ready_llm > 0 && pool::has_free_slot(&*self.llm))
     }
 
     /// Drains the hook post buffer into the event queue, stamping finish
-    /// epochs — the engine-side twin of [`crate::exec::flush_posts`]
-    /// (which serves backend unit tests), operating on the holder enums.
+    /// epochs (capacity is kept for the next hook).
     fn flush_own_posts(&mut self) {
-        if self.posts.is_empty() {
-            return;
-        }
-        let mut posts = std::mem::take(&mut self.posts);
-        self.flush_slice(&mut posts);
-        self.posts = posts; // return the (drained) buffer, keep capacity
-    }
-
-    /// Flushes effects a shard worker recorded during phase A: same as a
-    /// live hook's flush, just deferred to the replay point.
-    fn flush_recorded(&mut self, mut posts: Vec<Post>) {
-        self.flush_slice(&mut posts);
-    }
-
-    fn flush_slice(&mut self, posts: &mut Vec<Post>) {
-        for p in posts.drain(..) {
-            match p {
-                Post::Finish { task, at } => {
-                    debug_assert!(
-                        at >= self.now,
-                        "backends never post into the past (decode time is \
-                         bounded below by min_per_token × remaining tokens)"
-                    );
-                    let epoch = self.jobs[task.job].bump_task_epoch(task.stage, task.task);
-                    self.queue.push(
-                        at,
-                        Event::TaskFinish {
-                            job: task.job,
-                            stage: task.stage,
-                            task: task.task,
-                            epoch,
-                        },
-                    );
-                }
-                Post::Step { exec, epoch, at } => {
-                    self.queue.push(at, Event::LlmStep { exec, epoch })
-                }
-            }
-        }
+        debug_assert!(
+            self.posts
+                .iter()
+                .all(|p| !matches!(p, Post::Finish { at, .. } if *at < self.now)),
+            "backends never post finishes into the past"
+        );
+        flush_posts(&mut self.posts, &mut self.jobs, &mut self.queue);
     }
 
     fn advance_integrals(&mut self, t: SimTime) {
         let dt = (t - self.last_integral_at).as_secs_f64();
         if dt > 0.0 {
             self.reg_busy_integral += self.regular_busy as f64 * dt;
-            let (slots, busy) = pool::slot_stats(self.llm.get());
+            let (slots, busy) = pool::slot_stats(&*self.llm);
             self.llm_slot_integral += slots as f64 * dt;
             self.llm_active_integral += busy as f64 * dt;
             // The piecewise-constant span just closed; windowed series
@@ -1280,7 +512,7 @@ impl Engine<'_> {
     }
 
     fn has_free_capacity(&self) -> bool {
-        self.regular_busy < self.cfg.regular_executors || pool::has_free_slot(self.llm.get())
+        self.regular_busy < self.cfg.regular_executors || pool::has_free_slot(&*self.llm)
     }
 
     /// Inserts a dense index into the sorted active vector. Arrivals come
@@ -1376,7 +608,7 @@ impl Engine<'_> {
                 true
             }
             Event::LlmStep { exec, epoch } => {
-                let out = self.llm.get_mut().step(exec, epoch, &mut exec_ctx!(self));
+                let out = self.llm.step(exec, epoch, &mut exec_ctx!(self));
                 self.flush_own_posts();
                 for f in &out.finished {
                     self.finish_task(f.job, f.stage, f.task);
@@ -1388,14 +620,6 @@ impl Engine<'_> {
 
     /// Completes one task and any stage / job completions that follow.
     fn finish_task(&mut self, job: usize, stage: u32, task: u32) {
-        self.finish_task_with(job, stage, task, None);
-    }
-
-    /// [`Engine::finish_task`] with an optional pre-recorded drain: on
-    /// the partitioned path a shard worker already released the batch
-    /// slot and recorded the resulting re-timings, so the live drain is
-    /// skipped and the record is flushed at the same point instead.
-    fn finish_task_with(&mut self, job: usize, stage: u32, task: u32, recorded: Option<Vec<Post>>) {
         // The completion cascade below (stage completions, reveals, void
         // chains, auto-completes) is confined to this job; recount its
         // dispatchable work across the whole cascade instead of threading
@@ -1417,29 +641,9 @@ impl Engine<'_> {
                 let e = exec.expect("llm task runs on an executor") as usize;
                 // Release the batch slot; the backend re-times survivors
                 // (analytic) or no-ops (token-level removes inside step).
-                match recorded {
-                    Some(posts) => {
-                        // The shard worker drained the slot with its probe
-                        // detached (workers run concurrently); re-emit the
-                        // drain here, where the live hook would have.
-                        self.flush_recorded(posts);
-                        if self.probe_on {
-                            self.probe.record(&ProbeEvent::BatchDrain {
-                                at: self.now,
-                                exec: e as u32,
-                                occupancy: self.llm.get().occupancy(e) as u32,
-                            });
-                        }
-                    }
-                    None => {
-                        self.llm.get_mut().drain(
-                            e,
-                            LlmTaskRef { job, stage, task },
-                            &mut exec_ctx!(self),
-                        );
-                        self.flush_own_posts();
-                    }
-                }
+                self.llm
+                    .drain(e, LlmTaskRef { job, stage, task }, &mut exec_ctx!(self));
+                self.flush_own_posts();
                 nominal
             }
         };
@@ -1647,7 +851,7 @@ impl Engine<'_> {
     }
 
     fn invoke_scheduler(&mut self, scheduler: &mut dyn Scheduler) {
-        pool::views_into(self.llm.get(), &mut self.llm_views);
+        pool::views_into(&*self.llm, &mut self.llm_views);
         let n_deltas = self.deltas.len();
         let (pref, elapsed) = {
             let ctx = SchedContext {
@@ -1662,7 +866,6 @@ impl Engine<'_> {
                 dispatchable_regular: self.ready_reg,
                 dispatchable_llm: self.ready_llm,
                 could_dispatch: self.could_dispatch(),
-                pool: self.pool.as_ref(),
                 templates: self.templates,
                 latency: &self.cfg.latency,
             };
@@ -1745,7 +948,7 @@ impl Engine<'_> {
         // LLM tasks are routed by the backend: the default is the paper's
         // least-loaded rule, cluster backends consult their Router policy.
         for tr in &pref.llm {
-            if !pool::has_free_slot(self.llm.get()) {
+            if !pool::has_free_slot(&*self.llm) {
                 break;
             }
             let Some(j) = self.validate(tr, ExecutorClass::Llm) else {
@@ -1761,7 +964,7 @@ impl Engine<'_> {
                 stage: tr.stage.0,
                 task: tr.task,
             };
-            let Some(e) = self.llm.get_mut().place(task, work) else {
+            let Some(e) = self.llm.place(task, work) else {
                 break;
             };
             self.start_llm(j, tr, e, work);
@@ -1776,8 +979,6 @@ impl Engine<'_> {
         self.regular_busy += 1;
         self.ready_unstarted -= 1;
         self.ready_reg -= 1;
-        self.regular_finishes
-            .push(std::cmp::Reverse(self.now + duration));
         self.emit(SchedDelta::TasksDispatched {
             job: tr.job,
             stage: tr.stage,
@@ -1823,7 +1024,7 @@ impl Engine<'_> {
                 exec: Some(e as u32),
             });
         }
-        self.llm.get_mut().admit(
+        self.llm.admit(
             e,
             LlmTaskRef {
                 job: j,
@@ -1835,46 +1036,6 @@ impl Engine<'_> {
         );
         self.flush_own_posts();
     }
-}
-
-/// Fans one round's shard hook work out across the persistent worker
-/// pool: each busy shard becomes one pool task holding exclusive access
-/// to its `&mut dyn ExecutorBackend` (handed through [`TaskSlots`]), and
-/// the calling thread participates as pool worker 0. Returns
-/// `(shard index, wall-clock busy, per-event hook effects)` per busy
-/// shard — the same contract the old per-round `std::thread::scope`
-/// fan-out had, minus the per-round spawn/join cost.
-type ShardRoundFx = (usize, std::time::Duration, Vec<(u32, HookFx)>);
-
-fn run_shards_pooled<'s>(
-    pool: &WorkerPool,
-    shards: Vec<&'s mut dyn ExecutorBackend>,
-    bases: &[usize],
-    items: &[Vec<(u32, SimTime, Event)>],
-    jobs: &[JobRt],
-    latency: &LatencyProfile,
-) -> Vec<ShardRoundFx> {
-    let n_busy = items.iter().filter(|v| !v.is_empty()).count();
-    let inputs: TaskSlots<(usize, &'s mut dyn ExecutorBackend)> = TaskSlots::new(n_busy);
-    let outputs: TaskSlots<ShardRoundFx> = TaskSlots::new(n_busy);
-    let mut k = 0;
-    for (s, shard) in shards.into_iter().enumerate() {
-        if items[s].is_empty() {
-            continue;
-        }
-        inputs.put(k, (s, shard));
-        k += 1;
-    }
-    debug_assert_eq!(k, n_busy);
-    pool.run(n_busy, &|i| {
-        let (s, shard) = inputs
-            .take(i)
-            .expect("pool task index is claimed exactly once");
-        let start = std::time::Instant::now();
-        let fx = run_shard(shard, bases[s], jobs, latency, &items[s]);
-        outputs.put(i, (s, start.elapsed(), fx));
-    });
-    outputs.into_inner().into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -2013,84 +1174,6 @@ mod tests {
                 "expected ~2s co-batched, got {}",
                 j.jct()
             );
-        }
-    }
-
-    #[test]
-    fn partitioned_round_runs_on_worker_threads() {
-        // Two identical LLM-only jobs on two executors under
-        // Partitioned(2): least-loaded placement separates them, both
-        // finish events land at t = 1 s on *different* shards, so the
-        // round must take the scoped-thread path — and still match the
-        // sequential run exactly.
-        let mut b = TemplateBuilder::new(AppId(0), "llm_only");
-        b.llm("gen");
-        let t = b.build().unwrap();
-        let set: TemplateSet = [t.clone()].into_iter().collect();
-        let mk = |id: u64| {
-            JobSpec::new(
-                JobId(id),
-                &t,
-                SimTime::ZERO,
-                vec![StageSpec::executing(
-                    "gen",
-                    StageKind::Llm,
-                    vec![TaskWork::Llm {
-                        prompt_tokens: 0,
-                        output_tokens: 100,
-                    }],
-                )],
-                vec![],
-            )
-            .unwrap()
-        };
-        let cfg = |par: Parallelism| ClusterConfig {
-            latency: flat_latency(),
-            llm_executors: 2,
-            parallelism: par,
-            ..Default::default()
-        };
-        let seq = simulate(
-            &cfg(Parallelism::Off),
-            &set,
-            vec![mk(0), mk(1)],
-            &mut Greedy,
-        );
-        let par = simulate(
-            &cfg(Parallelism::Partitioned(2)),
-            &set,
-            vec![mk(0), mk(1)],
-            &mut Greedy,
-        );
-        assert!(seq.par.is_none());
-        let stats = par.par.as_ref().expect("partitioned run reports ParStats");
-        assert_eq!(stats.partitions, 2);
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if hw >= 2 {
-            assert!(
-                stats.parallel_rounds > 0,
-                "co-timed finishes on both shards must thread: {stats:?}"
-            );
-        } else {
-            // Single-hardware-thread hosts must never spawn: workers
-            // would only serialize behind the main thread.
-            assert_eq!(
-                stats.parallel_rounds, 0,
-                "1-thread host spawned workers: {stats:?}"
-            );
-        }
-        assert_eq!(par.events, seq.events);
-        assert_eq!(par.makespan, seq.makespan);
-        assert_eq!(
-            par.avg_jct_secs().to_bits(),
-            seq.avg_jct_secs().to_bits(),
-            "partitioned avg JCT bits"
-        );
-        // Both jobs finish together at 100 tokens × 10 ms = 1 s.
-        for j in &par.jobs {
-            assert!((j.jct().as_secs_f64() - 1.0).abs() < 1e-9);
         }
     }
 

@@ -100,17 +100,8 @@ impl EventQueue {
 
     /// Schedules `event` at `time`.
     pub fn push(&mut self, time: SimTime, event: Event) {
-        let seq = self.seq;
+        let key = key_of(time, self.seq);
         self.seq += 1;
-        self.push_with_seq(time, seq, event);
-    }
-
-    /// Schedules `event` at `time` under an externally assigned sequence
-    /// number. The partitioned engine routes events to per-shard queues
-    /// but keeps ONE global monotone counter, so the merged pop order is
-    /// bit-identical to a single queue's `(time, seq)` order.
-    pub(crate) fn push_with_seq(&mut self, time: SimTime, seq: u64, event: Event) {
-        let key = key_of(time, seq);
         let slot = match self.free.pop() {
             Some(s) => {
                 self.arena[s as usize] = event;
@@ -127,14 +118,6 @@ impl EventQueue {
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.pop_keyed().map(|(_, time, ev)| (time, ev))
-    }
-
-    /// Removes and returns the earliest event together with its packed
-    /// `(time, seq)` ordering key. The partitioned engine's window replay
-    /// interleaves a pre-popped batch with live queue drains by comparing
-    /// these keys, reproducing the sequential pop order exactly.
-    pub(crate) fn pop_keyed(&mut self) -> Option<(u128, SimTime, Event)> {
         let top = *self.heap.first()?;
         let last = self.heap.pop().expect("non-empty");
         if !self.heap.is_empty() {
@@ -143,18 +126,12 @@ impl EventQueue {
         }
         self.free.push(top.slot);
         let time = SimTime((top.key >> 64) as u64);
-        Some((top.key, time, self.arena[top.slot as usize]))
+        Some((time, self.arena[top.slot as usize]))
     }
 
     /// The timestamp of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.first().map(|e| SimTime((e.key >> 64) as u64))
-    }
-
-    /// The packed `(time, seq)` key of the earliest event — the
-    /// partitioned engine's shard merge compares heads by this key.
-    pub(crate) fn peek_key(&self) -> Option<u128> {
-        self.heap.first().map(|e| e.key)
     }
 
     /// Number of pending events (including stale ones awaiting lazy

@@ -34,17 +34,6 @@ pub(super) struct ReplicaBatch {
     /// Decode tokens admitted to the batch and not yet drained.
     pub(super) pending_tokens: u64,
     last_settle: SimTime,
-    /// Minimum remaining decode tokens across the batch as of
-    /// `last_settle` (`f64::INFINITY` when idle), refreshed at every
-    /// settle and membership change. Between mutations the batch rate is
-    /// constant and every request decrements equally, so
-    /// [`ReplicaBatch::lookahead`] can evaluate the exact minimum at any
-    /// later `now` without re-settling (the partitioned engine probes it
-    /// once per barrier across every replica).
-    min_remaining: f64,
-    /// Per-token decode seconds at the current batch size, cached with
-    /// `min_remaining` (constant between membership changes).
-    rate: f64,
 }
 
 impl ReplicaBatch {
@@ -59,8 +48,6 @@ impl ReplicaBatch {
                 running: Vec::new(),
                 pending_tokens: 0,
                 last_settle: SimTime::ZERO,
-                min_remaining: f64::INFINITY,
-                rate: 0.0,
             })
             .collect()
     }
@@ -84,26 +71,6 @@ impl ReplicaBatch {
             }
         }
         self.last_settle = now;
-        self.refresh_bound();
-    }
-
-    /// Recaches the minimum remaining token count and the current batch
-    /// rate from the settled state. Both stay exact until the next
-    /// membership change: the rate depends only on the batch size, and
-    /// every co-batched request decrements at that same rate, so the
-    /// minimum request remains the minimum.
-    fn refresh_bound(&mut self) {
-        if self.running.is_empty() {
-            self.min_remaining = f64::INFINITY;
-            self.rate = 0.0;
-        } else {
-            self.min_remaining = self
-                .running
-                .iter()
-                .map(|r| r.remaining_tokens)
-                .fold(f64::INFINITY, f64::min);
-            self.rate = self.latency.per_token(self.running.len()).as_secs_f64();
-        }
     }
 
     /// Re-posts finish events for every running task at the replica's
@@ -119,43 +86,6 @@ impl ReplicaBatch {
         }
     }
 
-    /// The group curve's global per-token lower bound.
-    pub(super) fn min_per_token(&self) -> SimDuration {
-        self.latency.min_per_token()
-    }
-
-    /// Conservative lookahead: a lower bound on this replica's earliest
-    /// possible finish (`u64::MAX` when idle), evaluated at `now` from
-    /// the cached `(min_remaining, rate)` pair without settling.
-    ///
-    /// Between mutations the batch decodes at the constant cached rate,
-    /// so the minimum remaining count at `now` is exactly
-    /// `min_remaining - elapsed / rate`; no request can then finish
-    /// before clearing that many tokens at the curve-wide minimum
-    /// per-token latency. Floor tick conversion plus a one-tick safety
-    /// margin keep the bound strictly below the `.round()`-posted finish
-    /// events even under f64 rounding of the division. Unlike a bound
-    /// anchored at the last settle, this one advances with `now`, so
-    /// long-decoding batches keep opening windows instead of going
-    /// vacuous once `now` passes the anchor-time bound.
-    pub(super) fn lookahead(&self, now: SimTime) -> SimTime {
-        if self.running.is_empty() {
-            return SimTime(u64::MAX);
-        }
-        let elapsed = (now - self.last_settle).as_secs_f64();
-        let min_r = self.min_remaining
-            - if elapsed > 0.0 {
-                elapsed / self.rate
-            } else {
-                0.0
-            };
-        if min_r <= 0.0 {
-            return now;
-        }
-        let b = now + SimDuration((min_r * self.min_per_token().0 as f64) as u64);
-        SimTime(b.0.saturating_sub(1)).max(now)
-    }
-
     /// Adds `task` with `tokens` to decode. Callers settle before and
     /// retime after (possibly batching several joins into one retime).
     pub(super) fn join(&mut self, task: LlmTaskRef, tokens: u64) {
@@ -165,7 +95,6 @@ impl ReplicaBatch {
             admitted_tokens: tokens,
         });
         self.pending_tokens += tokens;
-        self.refresh_bound();
     }
 
     /// Removes `task` if present, releasing its queue tokens; returns
@@ -174,7 +103,6 @@ impl ReplicaBatch {
         if let Some(i) = self.running.iter().position(|r| r.task == task) {
             let removed = self.running.remove(i);
             self.pending_tokens -= removed.admitted_tokens;
-            self.refresh_bound();
             true
         } else {
             false

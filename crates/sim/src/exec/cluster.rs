@@ -17,12 +17,10 @@
 //! capacity and queued decode tokens.
 
 use llmsched_cluster::{ClusterSpec, ReplicaView, RouteRequest, Router};
-use llmsched_dag::time::SimTime;
 use llmsched_dag::work::LlmWork;
 
 use super::batching::ReplicaBatch;
 use super::{ExecCtx, ExecutorBackend, LlmTaskRef, StepOutcome};
-use crate::latency::LatencyProfile;
 
 /// The heterogeneous routed multi-replica backend.
 #[derive(Debug)]
@@ -43,25 +41,11 @@ impl ClusterExec {
     /// Panics if the spec fails [`ClusterSpec::validate`].
     pub fn new(spec: &ClusterSpec) -> Self {
         spec.validate().expect("invalid cluster spec");
-        Self::from_units(ReplicaBatch::table(spec), spec.routing.build())
-    }
-
-    /// A backend over an explicit replica-batch table — the partitioned
-    /// engine builds one per shard from a contiguous chunk of the full
-    /// table. The shard-local `router` is only consulted if `place` is
-    /// called on the shard directly; the sharded wrapper routes globally.
-    pub(super) fn from_units(units: Vec<ReplicaBatch>, router: Box<dyn Router>) -> Self {
         ClusterExec {
-            units,
-            router,
+            units: ReplicaBatch::table(spec),
+            router: spec.routing.build(),
             view_scratch: Vec::new(),
         }
-    }
-
-    /// The router view of local replica `local`, labelled with its global
-    /// executor index (the sharded wrapper composes global view tables).
-    pub(crate) fn unit_view(&self, local: usize, global: usize) -> ReplicaView {
-        self.units[local].view(global, 0, 0)
     }
 }
 
@@ -113,7 +97,7 @@ impl ExecutorBackend for ClusterExec {
         unit.join(task, work.folded_tokens());
         unit.retime(cx);
         if cx.probe.is_some() {
-            let view = self.unit_view(exec, exec);
+            let view = self.units[exec].view(exec, 0, 0);
             cx.emit(llmsched_telemetry::ProbeEvent::Routed {
                 at: cx.now,
                 job_index: task.job as u32,
@@ -147,17 +131,6 @@ impl ExecutorBackend for ClusterExec {
             exec: exec as u32,
             occupancy,
         });
-    }
-
-    /// Minimum over replicas of each replica's own-curve lower bound (the
-    /// engine-wide reference curve is irrelevant here: every replica
-    /// decodes against its group curve).
-    fn lookahead(&self, now: SimTime, _latency: &LatencyProfile) -> SimTime {
-        self.units
-            .iter()
-            .map(|u| u.lookahead(now))
-            .min()
-            .unwrap_or(SimTime(u64::MAX))
     }
 }
 

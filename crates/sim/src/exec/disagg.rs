@@ -32,7 +32,6 @@ use llmsched_dag::work::LlmWork;
 
 use super::batching::ReplicaBatch;
 use super::{ExecCtx, ExecutorBackend, LlmTaskRef, StepOutcome};
-use crate::latency::LatencyProfile;
 
 /// One task prefilling / in KV transfer toward a decode replica.
 #[derive(Debug, Clone)]
@@ -54,13 +53,9 @@ struct DecodeUnit {
     next_epoch: u64,
 }
 
-/// The shared FIFO prefill pool: earliest-free replica serves next.
-///
-/// Extracted from [`DisaggExec`] so the partitioned engine can keep ONE
-/// global pool (prefill ordering is a cross-shard resource) while decode
-/// replicas are sharded.
+/// The FIFO prefill pool: earliest-free replica serves next.
 #[derive(Debug, Clone)]
-pub(crate) struct PrefillPool {
+struct PrefillPool {
     /// Earliest availability of each prefill replica (FIFO service).
     free_at: Vec<SimTime>,
     per_token: SimDuration,
@@ -68,19 +63,11 @@ pub(crate) struct PrefillPool {
 }
 
 impl PrefillPool {
-    pub(crate) fn new(replicas: usize, per_token: SimDuration, transfer: SimDuration) -> Self {
-        PrefillPool {
-            free_at: vec![SimTime::ZERO; replicas],
-            per_token,
-            transfer,
-        }
-    }
-
     /// Builds the pool a disaggregated [`ClusterSpec`] describes.
     ///
     /// # Panics
     /// Panics if the spec carries no [`DisaggSpec`].
-    pub(crate) fn from_spec(spec: &ClusterSpec) -> Self {
+    fn from_spec(spec: &ClusterSpec) -> Self {
         let DisaggSpec {
             prefill_group,
             prefill_per_token,
@@ -89,16 +76,16 @@ impl PrefillPool {
             .disagg
             .as_ref()
             .expect("EngineMode::Disagg requires ClusterSpec::disagg");
-        PrefillPool::new(
-            spec.groups[prefill_group].replicas,
-            prefill_per_token,
-            transfer_delay,
-        )
+        PrefillPool {
+            free_at: vec![SimTime::ZERO; spec.groups[prefill_group].replicas],
+            per_token: prefill_per_token,
+            transfer: transfer_delay,
+        }
     }
 
     /// Serves `prompt_tokens` on the earliest-free prefill replica (FIFO)
     /// and returns when its KV cache reaches a decode replica.
-    pub(crate) fn arrival(&mut self, now: SimTime, prompt_tokens: u64) -> SimTime {
+    fn arrival(&mut self, now: SimTime, prompt_tokens: u64) -> SimTime {
         let p = self
             .free_at
             .iter()
@@ -131,19 +118,8 @@ impl DisaggExec {
     /// [`DisaggSpec`].
     pub fn new(spec: &ClusterSpec) -> Self {
         spec.validate().expect("invalid cluster spec");
-        let prefill = PrefillPool::from_spec(spec);
-        let mut exec = Self::from_units(ReplicaBatch::table(spec), spec.routing.build());
-        exec.prefill = prefill;
-        exec
-    }
-
-    /// A decode-only pool over an explicit replica-batch table — the
-    /// partitioned engine builds one per shard. The embedded prefill pool
-    /// is empty and never consulted: the sharded wrapper owns the global
-    /// pool and admits through [`DisaggExec::admit_with_ready_at`].
-    pub(super) fn from_units(batches: Vec<ReplicaBatch>, router: Box<dyn Router>) -> Self {
         DisaggExec {
-            units: batches
+            units: ReplicaBatch::table(spec)
                 .into_iter()
                 .map(|batch| DecodeUnit {
                     batch,
@@ -151,39 +127,18 @@ impl DisaggExec {
                     next_epoch: 0,
                 })
                 .collect(),
-            prefill: PrefillPool::new(1, SimDuration::ZERO, SimDuration::ZERO),
-            router,
+            prefill: PrefillPool::from_spec(spec),
+            router: spec.routing.build(),
             view_scratch: Vec::new(),
         }
     }
 
-    /// The router view of local decode replica `local`, labelled with its
-    /// global executor index.
-    pub(crate) fn unit_view(&self, local: usize, global: usize) -> ReplicaView {
-        let unit = &self.units[local];
+    /// The router view of decode replica `exec`, counting requests in
+    /// prefill or KV transfer toward it as occupants.
+    fn unit_view(&self, exec: usize) -> ReplicaView {
+        let unit = &self.units[exec];
         let staged_tokens = unit.transit.iter().map(|t| t.decode_tokens).sum();
-        unit.batch.view(global, unit.transit.len(), staged_tokens)
-    }
-
-    /// Admission with the prefill→transfer arrival time already resolved
-    /// (the sharded wrapper computes it against the global prefill pool).
-    pub(crate) fn admit_with_ready_at(
-        &mut self,
-        exec: usize,
-        task: LlmTaskRef,
-        decode_tokens: u64,
-        ready_at: SimTime,
-        cx: &mut ExecCtx<'_>,
-    ) {
-        let unit = &mut self.units[exec];
-        unit.transit.push(Transit {
-            task,
-            decode_tokens,
-            ready_at,
-        });
-        unit.next_epoch += 1;
-        let epoch = unit.next_epoch;
-        cx.post_step(exec, epoch, ready_at);
+        unit.batch.view(exec, unit.transit.len(), staged_tokens)
     }
 }
 
@@ -217,7 +172,7 @@ impl ExecutorBackend for DisaggExec {
     fn place(&mut self, task: LlmTaskRef, work: LlmWork) -> Option<usize> {
         let mut views = std::mem::take(&mut self.view_scratch);
         views.clear();
-        views.extend((0..self.units.len()).map(|i| self.unit_view(i, i)));
+        views.extend((0..self.units.len()).map(|i| self.unit_view(i)));
         let chosen = self.router.route(
             &views,
             RouteRequest {
@@ -231,9 +186,17 @@ impl ExecutorBackend for DisaggExec {
 
     fn admit(&mut self, exec: usize, task: LlmTaskRef, work: LlmWork, cx: &mut ExecCtx<'_>) {
         let ready_at = self.prefill.arrival(cx.now, work.prompt_tokens);
-        self.admit_with_ready_at(exec, task, work.decode_tokens(), ready_at, cx);
+        let unit = &mut self.units[exec];
+        unit.transit.push(Transit {
+            task,
+            decode_tokens: work.decode_tokens(),
+            ready_at,
+        });
+        unit.next_epoch += 1;
+        let epoch = unit.next_epoch;
+        cx.post_step(exec, epoch, ready_at);
         if cx.probe.is_some() {
-            let view = self.unit_view(exec, exec);
+            let view = self.unit_view(exec);
             cx.emit(llmsched_telemetry::ProbeEvent::Routed {
                 at: cx.now,
                 job_index: task.job as u32,
@@ -292,26 +255,6 @@ impl ExecutorBackend for DisaggExec {
             exec: exec as u32,
             occupancy,
         });
-    }
-
-    /// Per decode replica: the batch's own-curve bound, and for every
-    /// request still in KV transfer the earliest it could finish *after*
-    /// joining — `ready_at + decode_tokens × min_per_token` (valid even
-    /// when the handoff is already due, since decode starts no earlier
-    /// than `ready_at`). Handoff steps themselves are never effective and
-    /// finish nothing, so they need no term; the global prefill pool
-    /// generates no events at all (arrival times are resolved at
-    /// admission).
-    fn lookahead(&self, now: SimTime, _latency: &LatencyProfile) -> SimTime {
-        let mut bound = SimTime(u64::MAX);
-        for unit in &self.units {
-            bound = bound.min(unit.batch.lookahead(now));
-            let mpt = unit.batch.min_per_token();
-            for tr in &unit.transit {
-                bound = bound.min(tr.ready_at + mpt * tr.decode_tokens);
-            }
-        }
-        bound
     }
 }
 

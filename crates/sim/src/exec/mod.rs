@@ -51,7 +51,6 @@ mod batching;
 pub mod cluster;
 pub mod disagg;
 pub mod pool;
-pub(crate) mod sharded;
 pub mod token_level;
 
 pub use analytic::AnalyticExec;
@@ -82,12 +81,10 @@ pub struct LlmTaskRef {
 /// One event a backend asked the engine to schedule.
 ///
 /// Backends never touch the event queue or the job table directly: hooks
-/// buffer their requests here and the *caller* materializes them — the
-/// sequential engine immediately after the hook returns (stamping finish
-/// epochs via [`flush_posts`]), the partitioned engine's shard workers
-/// into an epoch-shadow first and the merge barrier afterwards. Keeping
-/// epoch assignment out of the backend is what lets shard workers run
-/// hooks with only *shared* access to the job table.
+/// buffer their requests here and the engine materializes them right
+/// after the hook returns, stamping finish epochs via [`flush_posts`].
+/// Keeping epoch assignment and queue order in the engine keeps the
+/// backends free of job-table state and independently unit-testable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Post {
     /// `task` finishes at `at` (superseding any earlier finish event for
@@ -101,8 +98,7 @@ pub enum Post {
     /// A backend wake-up ([`Event::LlmStep`]) for executor `exec` at `at`;
     /// `epoch` must match the backend's step epoch when the event fires.
     Step {
-        /// LLM executor index (backend-local; sharded wrappers remap it
-        /// to the global index before the flush).
+        /// LLM executor index.
         exec: usize,
         /// Backend step epoch.
         epoch: u64,
@@ -129,9 +125,7 @@ pub struct ExecCtx<'a> {
     pub posts: &'a mut Vec<Post>,
     /// The run's telemetry probe, present only while one is enabled —
     /// `None` costs backends a single branch per emission (see
-    /// [`ExecCtx::emit`]). Shard workers also get `None`: their hooks run
-    /// concurrently, so the sharded wrapper re-emits occupancy events
-    /// with global executor indices at the merge barrier instead.
+    /// [`ExecCtx::emit`]).
     pub probe: Option<&'a mut dyn Probe>,
 }
 
@@ -239,10 +233,7 @@ impl StepOutcome {
 ///    drains on completion, including completions the backend itself
 ///    reported);
 /// 4. `place` only returns executors with `occupancy(e) < capacity(e)`.
-///
-/// Backends must be [`Send`]: the partitioned engine steps disjoint
-/// backend shards on scoped worker threads between scheduler barriers.
-pub trait ExecutorBackend: std::fmt::Debug + Send {
+pub trait ExecutorBackend: std::fmt::Debug {
     /// Short backend family name (e.g. `"analytic"`, `"cluster"`).
     fn name(&self) -> &'static str;
 
@@ -268,9 +259,8 @@ pub trait ExecutorBackend: std::fmt::Debug + Send {
     /// order, to `f`. The engine's per-timestamp utilization integrals
     /// and per-invocation occupancy snapshots go through this instead
     /// of calling [`occupancy`](ExecutorBackend::occupancy) per
-    /// executor, so composite backends (the sharded wrapper) can walk
-    /// their pools directly rather than translating every index. The
-    /// default loops over the per-executor accessors; overrides must
+    /// executor, so backends can walk their pools directly. The default
+    /// loops over the per-executor accessors; overrides must
     /// visit the exact same values in the same order.
     fn for_each_slot(&self, f: &mut dyn FnMut(usize, usize)) {
         for e in 0..self.n_execs() {
@@ -303,22 +293,4 @@ pub trait ExecutorBackend: std::fmt::Debug + Send {
     /// engine for every LLM task completion; must be a no-op if the
     /// backend already removed the task during the step that finished it.
     fn drain(&mut self, exec: usize, task: LlmTaskRef, cx: &mut ExecCtx<'_>);
-
-    /// A conservative lower bound on the earliest future time at which
-    /// this backend could complete a task (i.e. produce a
-    /// scheduler-relevant event). The partitioned engine advances through
-    /// `[now, bound)` without scheduler barriers: every event inside the
-    /// window is guaranteed to be a stale finish, an ineffective step, or
-    /// an internal hand-off that changes nothing a scheduler observes.
-    ///
-    /// Contract: with the backend in its state at `now` and no further
-    /// admissions, no valid [`Event::TaskFinish`] and no
-    /// [`StepOutcome`] with `effective == true` or non-empty `finished`
-    /// may occur strictly before the returned time. An idle backend may
-    /// return [`SimTime`]`(u64::MAX)`; the default returns `now`
-    /// (a vacuous bound — the window never opens), which is always safe.
-    fn lookahead(&self, now: SimTime, latency: &LatencyProfile) -> SimTime {
-        let _ = latency;
-        now
-    }
 }

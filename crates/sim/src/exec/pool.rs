@@ -115,10 +115,8 @@ mod tests {
             mode,
             iteration_chunk: 2,
             spec: None,
-            parallelism: crate::par::Parallelism::Off,
             coalescing: true,
             elision: true,
-            pool_threads: None,
             decision_horizon: None,
         }
     }

@@ -10,11 +10,9 @@
 //! posts for itself, versioned by a per-executor epoch so a batch that
 //! drains and restarts invalidates leftover wake-ups.
 
-use llmsched_dag::time::SimTime;
 use llmsched_dag::work::LlmWork;
 
 use super::{ExecCtx, ExecutorBackend, LlmTaskRef, StepOutcome};
-use crate::latency::LatencyProfile;
 
 /// One task waiting on decode iterations.
 #[derive(Debug, Clone)]
@@ -171,38 +169,6 @@ impl ExecutorBackend for TokenExec {
             exec: exec as u32,
             occupancy,
         });
-    }
-
-    /// A task finishes only at an iteration boundary, boundaries are at
-    /// least `min_per_token × chunk` apart, and a running task with `r`
-    /// tokens left needs `ceil(r / chunk)` more boundaries — the first of
-    /// which is the already-posted wake-up whose time this backend does
-    /// not retain, hence the `- 1` (a task finishing at the very next
-    /// boundary yields a vacuous `now` bound). Joiners only start
-    /// decoding *after* that pending boundary, so they keep the full
-    /// iteration count. All integer math: exact.
-    fn lookahead(&self, now: SimTime, latency: &LatencyProfile) -> SimTime {
-        let gap = latency.min_service_time(self.chunk);
-        let mut bound = SimTime(u64::MAX);
-        for unit in &self.units {
-            if unit.occupancy() == 0 {
-                continue;
-            }
-            debug_assert!(unit.iterating, "non-empty unit always iterates");
-            let min_iters = unit
-                .running
-                .iter()
-                .map(|r| r.remaining_tokens.div_ceil(self.chunk).saturating_sub(1))
-                .chain(
-                    unit.joining
-                        .iter()
-                        .map(|r| r.remaining_tokens.div_ceil(self.chunk)),
-                )
-                .min()
-                .unwrap_or(0);
-            bound = bound.min(now + gap * min_iters);
-        }
-        bound
     }
 }
 

@@ -138,20 +138,6 @@ pub enum ProbeEvent {
     },
     /// Opt-in scheduler decision provenance (see [`DecisionRecord`]).
     Decision(DecisionRecord),
-    /// One shard's slice of a partitioned same-timestamp event round.
-    ShardRound {
-        /// The round's simulation time.
-        at: SimTime,
-        /// Global round counter at emission.
-        round: u64,
-        /// The shard.
-        shard: u32,
-        /// Hook events the shard handled this round.
-        events: u32,
-        /// Wall-clock busy time on the worker thread (zero for rounds the
-        /// engine inlined on the main thread).
-        busy: std::time::Duration,
-    },
     /// A backend admitted a task into an executor's batch (or, for
     /// disaggregated backends, into prefill transit toward it).
     BatchAdmit {
@@ -223,7 +209,6 @@ impl ProbeEvent {
             ProbeEvent::JobCompleted { .. } => "job_completed",
             ProbeEvent::SchedInvoked { .. } => "sched_invoked",
             ProbeEvent::Decision(_) => "decision",
-            ProbeEvent::ShardRound { .. } => "shard_round",
             ProbeEvent::BatchAdmit { .. } => "batch_admit",
             ProbeEvent::BatchDrain { .. } => "batch_drain",
             ProbeEvent::Routed { .. } => "routed",

@@ -16,7 +16,7 @@
 //!   counters, routing instants), pid 2 = scheduler (invocation spans —
 //!   note their `dur` is *wall-clock* µs drawn on the sim timeline, the
 //!   one deliberate unit mix, so overhead is visible in situ; decision
-//!   instants), pid 3 = partitioned shards (per-round busy spans).
+//!   instants).
 
 use crate::json::{escape, num};
 use crate::window::{TimeSeries, WindowAggregator, WindowConfig};
@@ -97,12 +97,7 @@ impl TraceRecorder {
     /// for the process/track layout).
     pub fn chrome_trace(&self, series: Option<&TimeSeries>) -> String {
         let mut evs: Vec<String> = Vec::with_capacity(self.events.len() + 8);
-        for (pid, name) in [
-            (0, "jobs"),
-            (1, "executors"),
-            (2, "scheduler"),
-            (3, "shards"),
-        ] {
+        for (pid, name) in [(0, "jobs"), (1, "executors"), (2, "scheduler")] {
             evs.push(format!(
                 "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
                  \"args\":{{\"name\":\"{name}\"}}}}"
@@ -289,21 +284,6 @@ fn event_jsonl(out: &mut String, ev: &ProbeEvent) {
                 opt(d.reduction)
             );
         }
-        ProbeEvent::ShardRound {
-            at,
-            round,
-            shard,
-            events,
-            busy,
-        } => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"{kind}\",\"t\":{},\"round\":{round},\"shard\":{shard},\
-                 \"events\":{events},\"busy_us\":{}}}",
-                num(at.as_secs_f64()),
-                num(busy.as_secs_f64() * 1e6)
-            );
-        }
         ProbeEvent::BatchAdmit {
             at,
             exec,
@@ -472,20 +452,6 @@ fn event_chrome(evs: &mut Vec<String>, ev: &ProbeEvent) {
                 opt(d.reduction)
             ));
         }
-        ProbeEvent::ShardRound {
-            at,
-            round,
-            shard,
-            events,
-            busy,
-        } => {
-            evs.push(format!(
-                "{{\"ph\":\"X\",\"pid\":3,\"tid\":{shard},\"ts\":{},\"dur\":{},\
-                 \"name\":\"round {round}\",\"cat\":\"par\",\"args\":{{\"events\":{events}}}}}",
-                at.0,
-                busy.as_micros()
-            ));
-        }
         ProbeEvent::BatchAdmit {
             at,
             exec,
@@ -646,13 +612,6 @@ mod tests {
             llm_busy_slots: 0,
             llm_slots: 8,
         });
-        rec.record(&ProbeEvent::ShardRound {
-            at: t2,
-            round: 9,
-            shard: 1,
-            events: 4,
-            busy: Duration::from_micros(11),
-        });
         rec.record(&ProbeEvent::JobCompleted {
             at: t2,
             job: JobId(7),
@@ -667,8 +626,8 @@ mod tests {
         let series = rec.take_timeseries(SimTime::from_secs_f64(1.5));
         let out = rec.jsonl(series.as_ref());
         let lines: Vec<&str> = out.lines().collect();
-        // 14 events + 2 window rows.
-        assert_eq!(lines.len(), 16);
+        // 13 events + 2 window rows.
+        assert_eq!(lines.len(), 15);
         for line in &lines {
             validate(line).unwrap_or_else(|e| panic!("bad JSONL line {line}: {e}"));
             assert!(line.starts_with("{\"type\":\""), "missing tag: {line}");
@@ -690,7 +649,7 @@ mod tests {
         assert!(out.starts_with("{\"traceEvents\":["));
         for needle in [
             "\"ph\":\"M\"", // process metadata
-            "\"ph\":\"X\"", // spans (job / scheduler / shard)
+            "\"ph\":\"X\"", // spans (job / scheduler)
             "\"ph\":\"i\"", // instants
             "\"ph\":\"C\"", // counters
             "\"name\":\"schedule#0\"",
@@ -706,6 +665,6 @@ mod tests {
         let mut rec = sample_recorder();
         assert!(rec.take_timeseries(SimTime::from_secs_f64(1.5)).is_some());
         assert!(rec.take_timeseries(SimTime::from_secs_f64(1.5)).is_none());
-        assert_eq!(rec.events().len(), 14);
+        assert_eq!(rec.events().len(), 13);
     }
 }

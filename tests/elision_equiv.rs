@@ -6,19 +6,13 @@
 //! schedule — same engine event count, same makespan, same completion
 //! set, the exact f64 bit pattern of the average JCT — *and* identical
 //! telemetry: the same [`DecisionRecord`] stream and the same windowed
-//! time-series, for every policy, every workload mix, the
-//! analytic/cluster/disagg backends, and the partitioned engine (where an
-//! elided decision point is an elided *barrier*).
+//! time-series, for every policy, every workload mix and the
+//! analytic/cluster/disagg backends.
 //!
 //! The accounting invariant ties the two modes together: every decision
 //! point keeps its sequence number whether it ran, was coalesced, or was
 //! elided, so `sched_calls + sched_skipped + sched_elided` is the same
 //! total either way, and provenance `seq` values match exactly.
-//!
-//! The suite also pins the second leg of the scheduler-parallelism
-//! contract: LLMSched's fork-joined Eq. 6 candidate scoring (worker pool
-//! attached via [`ClusterConfig::pool_threads`]) is bit-identical to the
-//! inline route.
 
 use std::sync::OnceLock;
 
@@ -72,13 +66,11 @@ fn run(
     kind: WorkloadKind,
     mode: EngineMode,
     policy: &str,
-    par: Parallelism,
     elision: bool,
 ) -> (SimResult, Vec<DecisionRecord>) {
     let w = generate_workload(kind, 10, 0.9, 11);
     let mut cfg = kind.default_cluster();
     cfg.mode = mode;
-    cfg.parallelism = par;
     cfg.elision = elision;
     let mut sched = build(policy);
     let mut rec = TraceRecorder::new(TraceConfig {
@@ -138,8 +130,8 @@ fn elided_runs_are_bit_identical_for_every_policy_mix_and_backend() {
     for kind in WorkloadKind::ALL {
         for mode in modes {
             for policy in POLICIES {
-                let (on, dec_on) = run(kind, mode, policy, Parallelism::Off, true);
-                let (off, dec_off) = run(kind, mode, policy, Parallelism::Off, false);
+                let (on, dec_on) = run(kind, mode, policy, true);
+                let (off, dec_off) = run(kind, mode, policy, false);
                 let label = format!("{policy} / {} / {:?}", kind.name(), mode);
                 assert_equiv(&on, &off, &label);
                 // Elided opportunities had nothing dispatchable, so the
@@ -153,48 +145,6 @@ fn elided_runs_are_bit_identical_for_every_policy_mix_and_backend() {
     assert!(
         total_elided > 0,
         "elision never engaged across the whole matrix"
-    );
-}
-
-/// Elision composes with conservative-window partitioned stepping: on
-/// and off land on the oracle's bits, and an elided decision point is an
-/// elided barrier — the eliding run takes no more barriers than the
-/// non-eliding one.
-#[test]
-fn elision_composes_with_the_partitioned_engine() {
-    let mut barriers_saved = 0u64;
-    for kind in [WorkloadKind::Mixed, WorkloadKind::Planning] {
-        for mode in [EngineMode::Analytic, EngineMode::Disagg] {
-            for policy in ["FCFS", "SRTF", "LLMSched"] {
-                let (oracle, dec_oracle) = run(kind, mode, policy, Parallelism::Off, false);
-                for parts in [2usize, 4] {
-                    let par = Parallelism::Partitioned(parts);
-                    let (on, dec_on) = run(kind, mode, policy, par, true);
-                    let (off, dec_off) = run(kind, mode, policy, par, false);
-                    let label = format!("{policy} / {} / {:?} / p{parts}", kind.name(), mode);
-                    assert_equiv(&on, &off, &label);
-                    assert_equiv(&on, &oracle, &format!("{label} vs oracle"));
-                    assert_eq!(dec_on, dec_oracle, "{label}: provenance vs oracle");
-                    assert_eq!(dec_off, dec_oracle, "{label}: provenance (off)");
-                    // Small default clusters can clamp the shard count to
-                    // 1 (sequential path, no ParStats); those combos
-                    // still pin result equivalence above.
-                    let (b_on, b_off) = (
-                        on.par.as_ref().map_or(0, |s| s.barriers),
-                        off.par.as_ref().map_or(0, |s| s.barriers),
-                    );
-                    assert!(
-                        b_on <= b_off,
-                        "{label}: elision added barriers ({b_on} > {b_off})"
-                    );
-                    barriers_saved += b_off - b_on;
-                }
-            }
-        }
-    }
-    assert!(
-        barriers_saved > 0,
-        "elision never saved a barrier on the partitioned engine"
     );
 }
 
@@ -218,55 +168,4 @@ fn stock_llmsched_is_never_elided() {
             kind.name()
         );
     }
-}
-
-/// LLMSched's fork-joined Eq. 6 candidate scoring is bit-identical to
-/// the inline route: a forced 2-thread worker pool
-/// (`pool_threads: Some(2)`) against a forced-off pool
-/// (`pool_threads: Some(1)`) lands on the same result bits, and the
-/// pooled run actually exercised the parallel path.
-#[test]
-fn parallel_scoring_matches_sequential_scoring_bit_for_bit() {
-    let (profiler, _) = artifacts();
-    // A dense burst keeps hundreds of jobs in flight so the Su groups'
-    // scoring frontiers clear the parallel gate's minimum width.
-    let run = |pool_threads: usize| {
-        let w = generate_workload_with(
-            WorkloadKind::Mixed,
-            120,
-            &ArrivalProcess::Poisson { lambda: 12.0 },
-            29,
-        );
-        let mut cfg = WorkloadKind::Mixed.default_cluster();
-        cfg.pool_threads = Some(pool_threads);
-        let mut sched = LlmSched::new(
-            profiler.clone(),
-            LlmSchedConfig {
-                work_conserving: true,
-                ..LlmSchedConfig::default()
-            },
-        );
-        let r = simulate(&cfg, &w.templates, w.jobs, &mut sched);
-        (r, sched.par_scored())
-    };
-    let (pooled, par_scored) = run(2);
-    let (inline, inline_scored) = run(1);
-    assert_eq!(inline_scored, 0, "pool-less run took the fork-join route");
-    assert!(
-        par_scored > 0,
-        "pooled run never fanned a scoring batch out"
-    );
-    assert_eq!(pooled.events, inline.events, "event counts");
-    assert_eq!(pooled.makespan, inline.makespan, "makespans");
-    assert_eq!(
-        pooled.avg_jct_secs().to_bits(),
-        inline.avg_jct_secs().to_bits(),
-        "avg JCT bit pattern"
-    );
-    let completions = |r: &SimResult| {
-        let mut v: Vec<_> = r.jobs.iter().map(|j| (j.id, j.completion)).collect();
-        v.sort();
-        v
-    };
-    assert_eq!(completions(&pooled), completions(&inline), "completions");
 }

@@ -288,60 +288,6 @@ fn online_profile_updates_preserve_incremental_equivalence() {
     }
 }
 
-/// Partitioned engine ≡ sequential oracle: the same workload under
-/// `Parallelism::Partitioned(n)` must be **bit-identical** to
-/// `Parallelism::Off` — same engine event count (including stale pops),
-/// same makespan, same completion set, the exact f64 bit pattern of the
-/// average JCT — for every policy × mix × the analytic, cluster and
-/// disaggregated backends at 2 and 4 partitions. This is the contract of
-/// DESIGN.md §10: partitioned stepping is an *execution strategy*, never
-/// a semantics change.
-#[test]
-fn partitioned_engine_matches_sequential_oracle() {
-    let run_p = |kind: WorkloadKind, mode: EngineMode, policy: &str, par: Parallelism| {
-        let w = generate_workload(kind, 10, 0.9, 11);
-        let mut cfg = kind.default_cluster();
-        cfg.mode = mode;
-        cfg.parallelism = par;
-        let mut sched = build(policy, false);
-        simulate(&cfg, &w.templates, w.jobs, &mut sched)
-    };
-    let modes = [
-        EngineMode::Analytic,
-        EngineMode::Cluster,
-        EngineMode::Disagg,
-    ];
-    for kind in WorkloadKind::ALL {
-        for mode in modes {
-            for policy in POLICIES {
-                let seq = run_p(kind, mode, policy, Parallelism::Off);
-                assert!(seq.par.is_none(), "sequential runs report no ParStats");
-                for parts in [2usize, 4] {
-                    let par = run_p(kind, mode, policy, Parallelism::Partitioned(parts));
-                    let label = format!("{policy} / {} / {:?} / p{parts}", kind.name(), mode);
-                    assert_equiv(&par, &seq, &label);
-                    assert_eq!(
-                        par.avg_jct_secs().to_bits(),
-                        seq.avg_jct_secs().to_bits(),
-                        "{label}: avg JCT bit pattern"
-                    );
-                    // The clamp keeps single-executor clusters sequential.
-                    let effective = parts.min(kind.default_cluster().llm_executors);
-                    assert_eq!(
-                        par.par.is_some(),
-                        effective > 1,
-                        "{label}: ParStats presence"
-                    );
-                    if let Some(stats) = &par.par {
-                        assert_eq!(stats.partitions, effective, "{label}: partition count");
-                        assert!(stats.rounds > 0, "{label}: batch rounds counted");
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Extra analytic-backend seed sweep, including the LLMSched ablation
 /// variants (the exploration machinery exercises the interval index and
 /// memoized reductions hardest).
