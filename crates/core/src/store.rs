@@ -24,7 +24,7 @@
 //! The [`ProfileUpdate`] cadence knob makes the whole subsystem opt-in:
 //! [`ProfileUpdate::Frozen`] (the default) ignores observations entirely
 //! and reproduces the classic frozen-profiler behavior bit-for-bit —
-//! pinned by `tests/incremental_equiv.rs`.
+//! pinned by `tests/equivalence.rs`.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;

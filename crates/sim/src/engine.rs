@@ -4,11 +4,12 @@
 //! LLM serving itself lives behind the [`ExecutorBackend`] trait in
 //! [`crate::exec`]; the engine owns exactly one backend — chosen by
 //! [`ClusterConfig::mode`] — and is otherwise fidelity-agnostic. Four
-//! backends ship today (see [`EngineMode`]):
+//! modes ship today (see [`EngineMode`]):
 //!
-//! * [`EngineMode::Analytic`] — the paper's *simulator*
-//!   ([`crate::exec::AnalyticExec`]): rate-rescaling batching, events
-//!   only at batch-membership changes.
+//! * [`EngineMode::Analytic`] — the paper's *simulator*: rate-rescaling
+//!   batching, events only at batch-membership changes. It is the
+//!   homogeneous least-loaded cluster
+//!   ([`crate::exec::ClusterExec::analytic`]).
 //! * [`EngineMode::TokenLevel`] — the paper's *testbed* stand-in
 //!   ([`crate::exec::TokenExec`]): per-iteration continuous batching.
 //! * [`EngineMode::Cluster`] — heterogeneous multi-group cluster with
@@ -80,18 +81,6 @@ pub struct ClusterConfig {
     /// `DESIGN.md` §12). On by default; the A/B equivalence suite runs
     /// both settings.
     pub coalescing: bool,
-    /// Capacity-aware decision-point elision: additionally skip decision
-    /// points at which work is ready but *no executor of the matching
-    /// class has a free slot* — provided the active policy declares
-    /// itself work-conserving
-    /// ([`Scheduler::is_work_conserving`](crate::scheduler::Scheduler)),
-    /// i.e. guarantees an empty no-side-effect decision whenever
-    /// [`SchedContext::could_dispatch`](crate::scheduler::SchedContext)
-    /// is false. Deltas carry over exactly as under coalescing, elided
-    /// opportunities keep their sequence numbers. On by default; a no-op
-    /// for policies that don't opt in (every policy defaults to
-    /// not-work-conserving). See `DESIGN.md` §13.
-    pub elision: bool,
     /// Bounded-staleness decision batching: with `Some(ε)` (simulated
     /// seconds, ε > 0), a decision point falling within ε of the previous
     /// policy invocation is *deferred* — its deltas keep accumulating on
@@ -101,7 +90,7 @@ pub struct ClusterConfig {
     /// `previous invocation + ε` when no earlier event exists). `None`
     /// (the default) and `Some(0.0)` are the exact mode: every decision
     /// point is evaluated at its own timestamp, bit-identical to an
-    /// engine without this field (pinned by `tests/batching_equiv.rs`).
+    /// engine without this field (pinned by `tests/equivalence.rs`).
     /// ε > 0 is a *relaxation*: dispatch can lag a ready task by at most
     /// ε, bounding the avg-JCT drift (gated at ≤ 0.5 % by
     /// `scale_throughput --check`). See `DESIGN.md` §14.
@@ -119,7 +108,6 @@ impl Default for ClusterConfig {
             iteration_chunk: 1,
             spec: None,
             coalescing: true,
-            elision: true,
             decision_horizon: None,
         }
     }
@@ -242,7 +230,7 @@ pub fn simulate(
 /// The probe is observation-only: engine state flows *into* it and never
 /// back, so a run with any probe produces the bit-identical schedule,
 /// event count, and metrics of the same run under [`NoopProbe`] (pinned
-/// by the `telemetry_equiv` suite). `Probe::enabled` is cached once at
+/// by `tests/equivalence.rs`). `Probe::enabled` is cached once at
 /// entry; when it returns `false` the run is indistinguishable from
 /// [`simulate`]. When enabled, the engine also flips the scheduler's
 /// provenance collection on ([`Scheduler::set_telemetry`]) and drains
@@ -411,11 +399,12 @@ impl Engine<'_> {
     /// deltas stay queued for the next real invocation, and the
     /// opportunity still consumes a sequence number so provenance streams
     /// align bit-for-bit with an uncoalesced run (whose policies
-    /// short-circuit on `dispatchable == 0` and decide nothing). With elision on and a
-    /// work-conserving policy, decision points whose ready work has no
-    /// free executor of the matching class are skipped the same way: the
-    /// policy's `!could_dispatch` early-return guarantees the elided
-    /// invocation would have decided nothing and touched no state.
+    /// short-circuit on `dispatchable == 0` and decide nothing). Under a
+    /// work-conserving policy ([`Scheduler::is_work_conserving`]), decision
+    /// points whose ready work has no free executor of the matching class
+    /// are elided the same way: the policy's `!could_dispatch` early-return
+    /// guarantees the elided invocation would have decided nothing and
+    /// touched no state. See `DESIGN.md` §13.
     fn scheduler_opportunity(&mut self, scheduler: &mut dyn Scheduler) {
         debug_assert_eq!(
             self.ready_unstarted,
@@ -437,7 +426,7 @@ impl Engine<'_> {
             self.sched_skipped += 1;
             return;
         }
-        if self.cfg.elision && !self.could_dispatch() && scheduler.is_work_conserving() {
+        if !self.could_dispatch() && scheduler.is_work_conserving() {
             self.sched_elided += 1;
             return;
         }
@@ -1129,6 +1118,20 @@ mod tests {
         let res = simulate(&cfg, &set, vec![spec], &mut Greedy);
         assert!((res.jobs[0].jct().as_secs_f64() - 3.0).abs() < 1e-6);
         assert_eq!(res.jobs[0].completion, SimTime::from_secs_f64(8.0));
+    }
+
+    /// The analytic pool accepts zero executors, so an empty LLM pool is
+    /// rejected by `simulate`'s own capacity check, not the cluster-spec
+    /// validation other cluster modes go through.
+    #[test]
+    #[should_panic(expected = "need LLM capacity")]
+    fn analytic_without_llm_executors_is_rejected() {
+        let (set, spec) = templates_and_job(0.0);
+        let cfg = ClusterConfig {
+            llm_executors: 0,
+            ..Default::default()
+        };
+        simulate(&cfg, &set, vec![spec], &mut Greedy);
     }
 
     #[test]

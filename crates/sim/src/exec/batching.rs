@@ -1,8 +1,11 @@
-//! Shared per-replica batch state for the cluster-shaped backends.
+//! The analytic decode model: per-replica batch state shared by every
+//! rate-rescaling backend.
 //!
-//! [`ClusterExec`](super::ClusterExec) and [`DisaggExec`](super::DisaggExec)
-//! both decode under the analytic rate-rescaling model, each replica
-//! against its *own* group's latency curve. That subtle settle/retime
+//! [`ClusterExec`](super::ClusterExec) — and with it
+//! [`EngineMode::Analytic`](super::EngineMode::Analytic), the paper's
+//! simulator, which is the homogeneous cluster — and
+//! [`DisaggExec`](super::DisaggExec) all decode under this model, each
+//! replica against its *own* group's latency curve. The settle/retime
 //! logic lives here exactly once; the backends differ only in how
 //! requests reach the batch (directly vs. via prefill transit).
 

@@ -1,20 +1,21 @@
-//! The heterogeneous multi-group cluster backend.
+//! The multi-group cluster backend.
 //!
 //! A [`ClusterExec`] serves from the flat replica table of a
 //! [`ClusterSpec`]: each replica inherits its group's decode-latency
 //! curve and batch capacity, so a cluster can mix, say, a small pool of
 //! fast high-capacity replicas with a larger pool of slow ones. Within a
-//! replica, decoding follows the same rate-rescaling analytics as
-//! [`AnalyticExec`](super::AnalyticExec) — settle progress on every batch
-//! membership change, re-post finish events at the new rate — but against
-//! the *replica's own* latency curve rather than the engine-wide
-//! reference curve.
+//! replica, decoding follows the analytic rate-rescaling model of
+//! `ReplicaBatch` — settle progress on every batch membership change,
+//! re-post finish events at the new rate — against the *replica's own*
+//! latency curve.
 //!
-//! Placement is what makes this backend cluster-shaped: instead of the
-//! paper's fixed least-loaded rule, [`ExecutorBackend::place`] delegates
-//! to the [`Router`] the spec configured (least-loaded,
-//! join-shortest-queue, or session affinity), fed per-replica occupancy,
-//! capacity and queued decode tokens.
+//! Placement is delegated to the [`Router`] the spec configured
+//! (least-loaded, join-shortest-queue, or session affinity), fed
+//! per-replica occupancy, capacity and queued decode tokens.
+//!
+//! [`EngineMode::Analytic`](super::EngineMode::Analytic), the paper's
+//! *simulator*, is this backend over the homogeneous one-group spec
+//! ([`ClusterExec::analytic`], in `exec/analytic.rs`).
 
 use llmsched_cluster::{ClusterSpec, ReplicaView, RouteRequest, Router};
 use llmsched_dag::work::LlmWork;
@@ -30,6 +31,8 @@ pub struct ClusterExec {
     /// Reused router-view buffer: refilled per `place` call instead of
     /// collecting a fresh `Vec` (placement is per-dispatched-task hot).
     view_scratch: Vec<ReplicaView>,
+    /// Built by [`ClusterExec::analytic`]: reports itself as `"analytic"`.
+    analytic: bool,
 }
 
 impl ClusterExec {
@@ -41,21 +44,34 @@ impl ClusterExec {
     /// Panics if the spec fails [`ClusterSpec::validate`].
     pub fn new(spec: &ClusterSpec) -> Self {
         spec.validate().expect("invalid cluster spec");
+        ClusterExec::from_spec(spec, false)
+    }
+
+    pub(super) fn from_spec(spec: &ClusterSpec, analytic: bool) -> Self {
         ClusterExec {
             units: ReplicaBatch::table(spec),
             router: spec.routing.build(),
             view_scratch: Vec::new(),
+            analytic,
         }
     }
 }
 
 impl ExecutorBackend for ClusterExec {
     fn name(&self) -> &'static str {
-        "cluster"
+        if self.analytic {
+            "analytic"
+        } else {
+            "cluster"
+        }
     }
 
     fn descriptor(&self) -> String {
-        format!("cluster/{}", self.router.name())
+        if self.analytic {
+            self.name().to_string()
+        } else {
+            format!("cluster/{}", self.router.name())
+        }
     }
 
     fn n_execs(&self) -> usize {

@@ -12,9 +12,6 @@
 //!   into a batch, advance a backend timer (**step**), remove a finished
 //!   task (**drain**), and expose an **occupancy/capacity view** per
 //!   executor.
-//! * [`analytic::AnalyticExec`] — the paper's *simulator*: rate-rescaling
-//!   batching that settles decode progress on every membership change and
-//!   re-posts finish events at the new batch rate.
 //! * [`token_level::TokenExec`] — the paper's *testbed* stand-in:
 //!   per-iteration continuous batching (requests join at iteration
 //!   boundaries, every iteration costs `l(batch)` and emits `chunk`
@@ -24,7 +21,9 @@
 //!   (from a [`ClusterSpec`](llmsched_cluster::ClusterSpec)), and
 //!   placement is delegated to a pluggable
 //!   [`Router`](llmsched_cluster::Router) policy instead of the paper's
-//!   fixed least-loaded rule.
+//!   fixed least-loaded rule. The paper's *simulator*
+//!   ([`EngineMode::Analytic`]) is this backend over a homogeneous
+//!   one-group spec ([`ClusterExec::analytic`], module `analytic`).
 //! * [`disagg::DisaggExec`] — disaggregated prefill/decode serving: a
 //!   request first occupies a dedicated prefill replica for
 //!   `prompt_tokens × prefill_per_token`, pays a KV-cache
@@ -46,14 +45,13 @@
 //! the only place that mutates job/stage/task state; the reveal protocol
 //! of §IV-A never leaks into backends.
 
-pub mod analytic;
+mod analytic;
 mod batching;
 pub mod cluster;
 pub mod disagg;
 pub mod pool;
 pub mod token_level;
 
-pub use analytic::AnalyticExec;
 pub use cluster::ClusterExec;
 pub use disagg::DisaggExec;
 pub use pool::{build_backend, EngineMode};

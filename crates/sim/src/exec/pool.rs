@@ -3,14 +3,15 @@
 
 use llmsched_cluster::ClusterSpec;
 
-use super::{AnalyticExec, ClusterExec, DisaggExec, ExecutorBackend, TokenExec};
+use super::{ClusterExec, DisaggExec, ExecutorBackend, TokenExec};
 use crate::engine::ClusterConfig;
 use crate::state::LlmExecutorView;
 
 /// LLM execution fidelity: which [`ExecutorBackend`] a simulation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
-    /// Rate-rescaling analytic batching (fast; the paper's simulator).
+    /// Rate-rescaling analytic batching (fast; the paper's simulator):
+    /// [`ClusterExec::analytic`], the homogeneous least-loaded cluster.
     #[default]
     Analytic,
     /// Per-iteration continuous batching (the paper's testbed stand-in).
@@ -34,7 +35,11 @@ pub enum EngineMode {
 /// disaggregation layout in [`EngineMode::Disagg`].
 pub fn build_backend(cfg: &ClusterConfig) -> Box<dyn ExecutorBackend> {
     match cfg.mode {
-        EngineMode::Analytic => Box::new(AnalyticExec::new(cfg.llm_executors, cfg.max_batch)),
+        EngineMode::Analytic => Box::new(ClusterExec::analytic(
+            cfg.llm_executors,
+            cfg.max_batch,
+            &cfg.latency,
+        )),
         EngineMode::TokenLevel => Box::new(TokenExec::new(
             cfg.llm_executors,
             cfg.max_batch,
@@ -116,7 +121,6 @@ mod tests {
             iteration_chunk: 2,
             spec: None,
             coalescing: true,
-            elision: true,
             decision_horizon: None,
         }
     }
@@ -170,7 +174,7 @@ mod tests {
     fn empty_pool_has_no_placement() {
         let cfg = ClusterConfig {
             llm_executors: 0,
-            ..cfg(EngineMode::Analytic)
+            ..cfg(EngineMode::TokenLevel)
         };
         let mut be = build_backend(&cfg);
         assert!(!has_free_slot(&*be));

@@ -22,13 +22,14 @@
 //! delta-driven dirtiness); `DESIGN.md` §7 specifies the contract.
 //!
 //! LLM serving is pluggable: the engine drives an
-//! [`exec::ExecutorBackend`] trait object, and four backends ship
-//! (selected by [`engine::EngineMode`]): the analytic rate-rescaling
-//! backend [`exec::AnalyticExec`] — the paper's *simulator* — the
-//! token-level continuous-batching backend [`exec::TokenExec`] standing
-//! in for the paper's GPU *testbed*, the heterogeneous routed
-//! multi-replica backend [`exec::ClusterExec`], and the disaggregated
-//! prefill/decode backend [`exec::DisaggExec`]. Cluster topologies
+//! [`exec::ExecutorBackend`] trait object, and three backends ship
+//! (selected by [`engine::EngineMode`]): the heterogeneous routed
+//! multi-replica backend [`exec::ClusterExec`], whose homogeneous
+//! least-loaded form is the paper's analytic rate-rescaling *simulator*
+//! ([`engine::EngineMode::Analytic`]); the token-level
+//! continuous-batching backend [`exec::TokenExec`] standing in for the
+//! paper's GPU *testbed*; and the disaggregated prefill/decode backend
+//! [`exec::DisaggExec`]. Cluster topologies
 //! (replica groups, routing policies, disaggregation layouts) are
 //! described by `llmsched-cluster`'s
 //! [`ClusterSpec`](llmsched_cluster::ClusterSpec), threaded through
@@ -102,7 +103,7 @@ pub use llmsched_telemetry as telemetry;
 pub mod prelude {
     pub use crate::engine::{simulate, simulate_probed, ClusterConfig, EngineMode};
     pub use crate::exec::{
-        AnalyticExec, ClusterExec, DisaggExec, ExecutorBackend, LlmTaskRef, StepOutcome, TokenExec,
+        ClusterExec, DisaggExec, ExecutorBackend, LlmTaskRef, StepOutcome, TokenExec,
     };
     pub use crate::incr::{DeltaIndex, EstimateCache, FiniteF64, OrderedJobs};
     pub use crate::latency::{LatencyProfile, LatencyProfileError};

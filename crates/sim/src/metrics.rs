@@ -89,7 +89,7 @@ pub struct SimResult {
     /// policy declared itself work-conserving
     /// ([`Scheduler::is_work_conserving`](crate::scheduler::Scheduler)),
     /// so the invocation was provably a no-op and was skipped. Always 0
-    /// with elision off or under a non-work-conserving policy.
+    /// under a non-work-conserving policy.
     /// Opportunity sequence numbers count all three outcomes, so
     /// `sched_calls + sched_skipped + sched_elided` is the total number
     /// of decision points the run evaluated.

@@ -398,8 +398,7 @@ pub struct SchedContext<'a> {
     /// unstarted task could start *right now* — a free regular executor
     /// with ready regular work, or a free LLM batch slot with ready LLM
     /// work. This is exactly the predicate the engine's capacity-aware
-    /// elision uses (see [`ClusterConfig::elision`](crate::engine::ClusterConfig)):
-    /// a policy that early-returns an empty preference whenever
+    /// elision uses: a policy that early-returns an empty preference whenever
     /// `!could_dispatch` — before touching any RNG or order-dependent
     /// state — may declare [`Scheduler::is_work_conserving`] and have
     /// such invocations elided entirely, bit-identically. The field is
@@ -498,10 +497,10 @@ pub trait Scheduler {
     /// Declares that this policy is *work-conserving*: whenever
     /// [`SchedContext::could_dispatch`] is false, its [`Scheduler::schedule`]
     /// returns an empty preference without touching any RNG or other
-    /// order-dependent state. The engine may then elide such invocations
-    /// entirely (skipping the decision point) when
-    /// [`ClusterConfig::elision`](crate::engine::ClusterConfig) is on,
-    /// with bit-identical results guaranteed by `tests/elision_equiv.rs`.
+    /// order-dependent state. The engine then elides such invocations
+    /// entirely (skipping the decision point), with bit-identical results
+    /// pinned by `tests/equivalence.rs` against a wrapper that forwards
+    /// every hook but this one.
     ///
     /// The default is `false` (never elide), so policies that don't opt
     /// in see identical behavior. Wrapper schedulers MUST forward this

@@ -421,8 +421,8 @@ impl JobRt {
     /// [`JobRt::ready_unstarted_tasks`] split by executor class:
     /// `(regular, llm)`. Dynamic placeholders never enter the ready set
     /// (they auto-complete), so the two classes partition the total.
-    /// Drives capacity-aware decision-point elision: an invocation can
-    /// be skipped when neither class has both ready work *and* a free
+    /// Drives capacity-aware decision-point elision, which skips an
+    /// invocation when neither class has both ready work *and* a free
     /// executor of that class.
     pub fn ready_unstarted_by_class(&self) -> (usize, usize) {
         let (mut regular, mut llm) = (0usize, 0usize);

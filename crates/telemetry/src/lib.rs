@@ -9,7 +9,7 @@
 //! pays one branch per site and allocates nothing. With a recording probe
 //! ([`trace::TraceRecorder`]) the *schedule is still bit-identical* —
 //! probes receive copies of engine state and can influence nothing, which
-//! the `telemetry_equiv` suite pins against the golden oracles.
+//! `tests/equivalence.rs` pins against the golden oracles.
 //!
 //! Layout:
 //!

@@ -145,9 +145,9 @@ fn backends_agree_on_completion_set_and_reveal_order() {
     }
 }
 
-/// The cluster backend with a homogeneous derived spec and least-loaded
-/// routing is the analytic model under a different placement code path:
-/// per-job completion times must agree to the microsecond.
+/// The analytic mode is the cluster backend over the same homogeneous
+/// least-loaded spec a spec-less `Cluster` derives: per-job completion
+/// times must agree to the microsecond.
 #[test]
 fn homogeneous_cluster_backend_matches_analytic_timing() {
     let (ra, _) = run_recorded(WorkloadKind::Predefined, EngineMode::Analytic, 18, 21);
