@@ -4,8 +4,11 @@
 //!
 //! A [`JobBelief`] is everything LLMSched knows about one active job under
 //! its current evidence: the completed-stage fingerprint (`mask`), the
-//! extracted [`Evidence`], the posterior [`WorkEstimate`], and the
-//! memoized per-stage Eq. 6 reductions. Beliefs change **only when the
+//! extracted [`Evidence`], the posterior [`WorkEstimate`], and a handle to
+//! the [`EvidencePosteriors`] shared by every job of its application under
+//! the same evidence. That shared state holds the only Eq. 6 memo: the MI
+//! term per stage, filled on first use by [`BeliefStore::reduction`] under
+//! the BN and the w/o-BN ablation alike. Beliefs change **only when the
 //! job's evidence changes or its app's profile snapshot moves**. Evidence
 //! can only change when a stage of that job completes — so the
 //! [`BeliefStore`] listens to the engine's [`SchedDelta`] stream, marks
@@ -35,7 +38,9 @@ use std::rc::Rc;
 
 use crate::estimator::{EvidencePosteriors, WorkEstimate};
 use crate::store::ProfileStore;
-use crate::uncertainty::{uncertainty_reduction, MiEstimator};
+use crate::uncertainty::{
+    add_dynamic_bonus, mi_part, mi_part_cached, uncertainty_reduction, MiEstimator,
+};
 
 /// Cap on memoized posterior-band entries per app; reaching it clears
 /// that app's memo (values are recomputed identically, so this only
@@ -68,12 +73,10 @@ pub struct JobBelief {
     /// Posterior remaining-work estimate (batch-1 seconds; apply the Eq. 2
     /// calibration when comparing against wall-clock time).
     pub work: WorkEstimate,
-    /// Memoized Eq. 6 scores per stage, cleared whenever the evidence
-    /// changes.
-    reductions: HashMap<u32, f64>,
     /// The shared per-evidence posterior state this belief was derived
-    /// from (bands + reduced-CPT pool + marginals) — Eq. 6 scoring reuses
-    /// it instead of re-running the inference.
+    /// from (bands, and under the BN the reduced-CPT pool and marginals)
+    /// plus the Eq. 6 MI memo — scoring reuses both instead of re-running
+    /// the inference.
     shared: Option<Rc<EvidencePosteriors>>,
 }
 
@@ -249,7 +252,6 @@ impl BeliefStore {
                 mask,
                 evidence,
                 work,
-                reductions: HashMap::new(),
                 shared: Some(shared),
             },
         );
@@ -267,76 +269,47 @@ impl BeliefStore {
         self.beliefs.get(&job).map(|b| b.work).unwrap_or_default()
     }
 
-    /// Eq. 6 uncertainty-reduction score for a ready stage, memoized in
-    /// the job's belief. One profile lookup per call — this is where the
-    /// old path's double `profiler.profile()` per score went. Scores of
-    /// jobs without a belief are computed but not memoized.
+    /// Eq. 6 uncertainty-reduction score for a ready stage. The MI term is
+    /// a pure function of `(application, evidence)`, so it is memoized once
+    /// in the job's shared [`EvidencePosteriors`] and reused by every job
+    /// under that evidence — on the BN path and the w/o-BN ablation alike;
+    /// only the job-specific dynamic-expansion bonus is added per call.
+    /// Composition and guards mirror [`uncertainty_reduction`] exactly.
+    /// Scores of jobs without a belief are computed uncached.
     pub fn reduction(
-        &mut self,
+        &self,
         store: &ProfileStore,
         mi: MiEstimator,
         job: &JobRt,
         stage: StageId,
     ) -> f64 {
-        if let Some(r) = self
-            .beliefs
-            .get(&job.id())
-            .and_then(|b| b.reductions.get(&stage.0).copied())
-        {
-            return r;
-        }
-        let r = self.score(store, mi, job, stage);
-        if let Some(b) = self.beliefs.get_mut(&job.id()) {
-            b.reductions.insert(stage.0, r);
-        }
-        r
-    }
-
-    /// Computes a ready stage's Eq. 6 score against the held belief,
-    /// filling only the shared per-evidence MI memo
-    /// ([`EvidencePosteriors`]).
-    fn score(&self, store: &ProfileStore, mi: MiEstimator, job: &JobRt, stage: StageId) -> f64 {
         let Some(profile) = store.profile(job.app()) else {
             return 0.0;
         };
         if stage.index() >= profile.n_stages() {
             return 0.0; // generated stages carry no BN variable of their own
         }
-        match self.beliefs.get(&job.id()) {
-            Some(b) => match &b.shared {
-                // Cached path: the MI term is shared across jobs under
-                // this evidence; only the dynamic-expansion bonus is
-                // job-specific. Composition and guards mirror
-                // `uncertainty_reduction` exactly.
-                Some(ep) if ep.has_bn_cache() => {
-                    if b.evidence.contains_key(&stage.index()) {
-                        0.0
-                    } else {
-                        let memoized = ep.mi_memo(stage.0);
-                        let part = match memoized {
-                            Some(m) => m,
-                            None => {
-                                let m = crate::uncertainty::mi_part_cached(
-                                    profile,
-                                    job,
-                                    stage,
-                                    &b.evidence,
-                                    ep,
-                                    mi,
-                                );
-                                ep.mi_memo_insert(stage.0, m);
-                                m
-                            }
-                        };
-                        crate::uncertainty::add_dynamic_bonus(profile, job, stage, part)
-                    }
-                }
-                _ => uncertainty_reduction(profile, job, stage, &b.evidence, mi),
-            },
-            // No belief (context outside the delta stream and not yet
-            // refreshed): compute against fresh evidence, uncached.
-            None => uncertainty_reduction(profile, job, stage, &profile.evidence_of(job), mi),
+        // No belief (context outside the delta stream and not yet
+        // refreshed): compute against fresh evidence, uncached.
+        let Some(b) = self.beliefs.get(&job.id()) else {
+            return uncertainty_reduction(profile, job, stage, &profile.evidence_of(job), mi);
+        };
+        let Some(ep) = &b.shared else {
+            return uncertainty_reduction(profile, job, stage, &b.evidence, mi);
+        };
+        if b.evidence.contains_key(&stage.index()) {
+            return 0.0;
         }
+        let part = ep.mi_memo(stage.0).unwrap_or_else(|| {
+            let m = if ep.has_bn_cache() {
+                mi_part_cached(profile, job, stage, &b.evidence, ep, mi)
+            } else {
+                mi_part(profile, job, stage, &b.evidence, mi)
+            };
+            ep.mi_memo_insert(stage.0, m);
+            m
+        });
+        add_dynamic_bonus(profile, job, stage, part)
     }
 }
 
@@ -419,6 +392,49 @@ mod tests {
         store.on_delta(&SchedDelta::JobCompleted { job: JobId(7) });
         assert!(store.is_empty());
         assert_eq!(store.work(JobId(7)), WorkEstimate::default());
+    }
+
+    #[test]
+    fn without_bn_same_evidence_jobs_share_one_mi_memo_entry() {
+        use rand::SeedableRng;
+        let templates = all_templates();
+        let corpus = training_jobs(&[AppKind::SequenceSorting], 300, 13);
+        let profiler = Profiler::train(&templates, &corpus, &ProfilerConfig::default());
+        let store = ProfileStore::frozen(&profiler);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let jobs: Vec<JobRt> = (0..2)
+            .map(|i| {
+                JobRt::new(AppKind::SequenceSorting.generator().generate(
+                    JobId(i),
+                    SimTime::ZERO,
+                    &mut rng,
+                ))
+            })
+            .collect();
+        let latency = llmsched_sim::latency::LatencyProfile::default();
+        let ctx = ctx_of(&jobs, &templates, &latency, &[]);
+        let mut beliefs = BeliefStore::new();
+        beliefs.refresh(&store, &ctx, false, 0.35);
+
+        let mi = MiEstimator::default();
+        let profile = store.profile(jobs[0].app()).unwrap();
+        let stage = StageId(0);
+        for job in &jobs {
+            let expected = uncertainty_reduction(profile, job, stage, &Evidence::new(), mi);
+            assert!(expected > 0.0, "the split stage reduces uncertainty");
+            assert_eq!(
+                beliefs.reduction(&store, mi, job, stage).to_bits(),
+                expected.to_bits()
+            );
+        }
+        let shared = |id: JobId| beliefs.get(id).unwrap().shared.clone().unwrap();
+        let (a, b) = (shared(JobId(0)), shared(JobId(1)));
+        assert!(!a.has_bn_cache(), "w/o BN builds no BN cache");
+        assert!(
+            Rc::ptr_eq(&a, &b),
+            "same evidence shares one posterior state"
+        );
+        assert_eq!(a.mi.borrow().len(), 1, "both scores fill one memo entry");
     }
 
     #[test]

@@ -136,13 +136,15 @@ pub struct EvidencePosteriors {
     /// Per-stage posterior bands (what [`stage_bands`] returns).
     pub bands: Vec<StageBand>,
     /// BN-path cache; `None` for the w/o-BN ablation (whose bands come
-    /// from the evidence-free prior and whose cost profile is untouched).
+    /// from the evidence-free prior and whose MI terms run full BN
+    /// inference before landing in the same `mi` memo).
     pub(crate) cache: Option<PosteriorCache>,
-    /// Shared memo of Eq. 6 MI terms per stage: the term is a pure
-    /// function of `(application, evidence)` (see
-    /// [`crate::uncertainty`]), so every job under this evidence reuses
-    /// one computation. Interior mutability lets scoring fill it through
-    /// the shared handle every belief under this evidence holds.
+    /// Shared memo of Eq. 6 MI terms per stage — the scheduler's only
+    /// score cache: the term is a pure function of
+    /// `(application, evidence)` (see [`crate::uncertainty`]), so every
+    /// job under this evidence reuses one computation. Interior
+    /// mutability lets scoring fill it through the shared handle every
+    /// belief under this evidence holds.
     pub(crate) mi: std::cell::RefCell<std::collections::HashMap<u32, f64>>,
 }
 

@@ -18,7 +18,11 @@
 //!   non-overlapping grouping. Only jobs whose evidence changed are
 //!   re-estimated and repositioned; a full re-key happens only when the
 //!   Eq. 2 calibration factor itself moves (rare at saturation, where the
-//!   average busy batch pins to the max batch size).
+//!   average busy batch pins to the max batch size). Eq. 6 scores come
+//!   from the one MI memo shared per (application, evidence) inside the
+//!   beliefs' posterior state; the only other per-job state is a
+//!   delta-maintained ready-stage count, and the emission budgets read
+//!   the engine's per-class dispatchable counters.
 //! * **rebuild** (`incremental = false`) — the original
 //!   recompute-everything-per-call reference that equivalence tests and
 //!   `scale_throughput` compare against.
@@ -135,36 +139,24 @@ pub struct LlmSched {
     /// arrival)…
     exploit: OrderedJobs<(FiniteF64, SimTime)>,
     /// …and the interval index behind the non-overlapping grouping
-    /// (ordered by calibrated lower bound; upper bounds ride alongside).
+    /// (ordered by calibrated lower bound; the upper bound is re-derived
+    /// from the belief when a group is scanned).
     intervals: OrderedJobs<FiniteF64>,
-    interval_hi: HashMap<JobId, f64>,
     /// The Eq. 2 calibration the persistent keys were computed under; a
     /// moved calibration re-keys everything.
     last_calib: Option<f64>,
-    /// Per-job ready-work profiles and their running totals — the exact
-    /// lengths of the lazy St/Su sources and the per-class task
-    /// availability, maintained by deltas so the merge's RNG stream never
-    /// needs a full job scan.
-    ready_counts: HashMap<JobId, ReadyProfile>,
+    /// Per-job ready-stage counts and their running total — the exact
+    /// lengths of the lazy St/Su sources, maintained by deltas so the
+    /// merge's RNG stream never needs a full job scan.
+    ready_counts: HashMap<JobId, usize>,
     ready_dirty: std::collections::HashSet<JobId>,
-    total_ready: ReadyProfile,
+    total_ready: usize,
     /// Reused per-invocation merge scratch (cleared at the top of every
     /// incremental schedule; persisting the capacity keeps the merge
     /// allocation-free at steady state).
     merge_emitted: HashMap<(usize, StageId), usize>,
     st_mat_buf: Vec<StageRef>,
     su_heap_buf: std::collections::BinaryHeap<SuEntry>,
-    /// Dirty-set scored frontier: each job's ready-stage list with its
-    /// Eq. 6 scores, in `ready_stage_ids` order, persisted across
-    /// invocations. A job is re-scored only when a delta actually touched
-    /// it — its ready-stage set moved (arrival / stage completion /
-    /// reveal / dispatch) or its belief was replaced (evidence mask or
-    /// profile version moved, reported by [`BeliefStore::refresh`]);
-    /// untouched jobs replay their cached entries straight into the Su
-    /// heap without a single memo probe or job scan. Values are the
-    /// belief memos' (pure, bit-stable), so the merge — and the schedule
-    /// — is bit-identical to scoring from scratch every time.
-    frontier: HashMap<JobId, Vec<(StageId, f64)>>,
     /// Decision-provenance collection, flipped by the engine via
     /// [`Scheduler::set_telemetry`]. Observation-only: records are built
     /// from values both paths already computed, so the ε-greedy RNG
@@ -173,45 +165,6 @@ pub struct LlmSched {
     /// Records accumulated since the last [`Scheduler::drain_provenance`].
     decisions: Vec<DecisionRecord>,
     name: String,
-}
-
-/// Ready-work profile of one job (or the whole active set): how many
-/// stages are schedulable and how many unstarted tasks they hold per
-/// executor class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct ReadyProfile {
-    stages: usize,
-    reg_tasks: usize,
-    llm_tasks: usize,
-}
-
-impl ReadyProfile {
-    fn of(job: &JobRt) -> ReadyProfile {
-        let mut p = ReadyProfile::default();
-        for &s in job.ready_stage_ids() {
-            let view = job.stage_view(s).expect("ready stage is visible");
-            p.stages += 1;
-            let unstarted = view.tasks_unstarted().unwrap_or(0);
-            match view.kind {
-                llmsched_dag::job::StageKind::Regular => p.reg_tasks += unstarted,
-                llmsched_dag::job::StageKind::Llm => p.llm_tasks += unstarted,
-                llmsched_dag::job::StageKind::DynamicPlaceholder => {}
-            }
-        }
-        p
-    }
-
-    fn add(&mut self, o: ReadyProfile) {
-        self.stages += o.stages;
-        self.reg_tasks += o.reg_tasks;
-        self.llm_tasks += o.llm_tasks;
-    }
-
-    fn sub(&mut self, o: ReadyProfile) {
-        self.stages -= o.stages;
-        self.reg_tasks -= o.reg_tasks;
-        self.llm_tasks -= o.llm_tasks;
-    }
 }
 
 /// One scored exploration candidate in the lazy Su heap: max-heap order is
@@ -275,15 +228,13 @@ impl LlmSched {
             beliefs: BeliefStore::new(),
             exploit: OrderedJobs::new(),
             intervals: OrderedJobs::new(),
-            interval_hi: HashMap::new(),
             last_calib: None,
             ready_counts: HashMap::new(),
             ready_dirty: std::collections::HashSet::new(),
-            total_ready: ReadyProfile::default(),
+            total_ready: 0,
             merge_emitted: HashMap::new(),
             st_mat_buf: Vec::new(),
             su_heap_buf: std::collections::BinaryHeap::new(),
-            frontier: HashMap::new(),
             telemetry: false,
             decisions: Vec::new(),
             name,
@@ -473,9 +424,8 @@ impl LlmSched {
         self.exploit
             .upsert(job.id(), (FiniteF64(w.expected(calib)), job.arrival()));
         if self.cfg.use_uncertainty {
-            let (lo, hi) = w.interval(calib);
+            let (lo, _) = w.interval(calib);
             self.intervals.upsert(job.id(), FiniteF64(lo));
-            self.interval_hi.insert(job.id(), hi);
         }
     }
 
@@ -494,13 +444,6 @@ impl LlmSched {
             self.cfg.use_bn,
             self.cfg.interval_tail_mass,
         );
-        // A replaced belief cleared its Eq. 6 memos: the job's cached
-        // scored frontier is stale with it. (Calibration moves, by
-        // contrast, leave the frontier valid — Eq. 6 reductions are
-        // calibration-free; only the expected-work keys re-derive below.)
-        for id in &changed {
-            self.frontier.remove(id);
-        }
         if self.last_calib == Some(calib) {
             // Calibration stable: reposition only the jobs whose belief
             // moved (arrivals included — their upsert is the insert).
@@ -515,43 +458,47 @@ impl LlmSched {
             // context bypassed the delta stream: rebuild the indices.
             self.exploit.clear();
             self.intervals.clear();
-            self.interval_hi.clear();
             for i in 0..ctx.jobs.len() {
                 self.index_job(&ctx.jobs[i], calib);
             }
             self.last_calib = Some(calib);
         }
-        // Ready-work profiles: the exact lengths of the lazy St/Su sources
-        // and the per-class availability behind the emission budgets.
+        // Ready-stage counts: the exact lengths of the lazy St/Su sources.
         for id in std::mem::take(&mut self.ready_dirty) {
-            let old = self.ready_counts.get(&id).copied().unwrap_or_default();
+            let old = self.ready_counts.get(&id).copied().unwrap_or(0);
             let new = match ctx.job(id) {
                 Some(job) => {
-                    let p = ReadyProfile::of(job);
-                    self.ready_counts.insert(id, p);
-                    p
+                    let n = job.ready_stage_ids().len();
+                    self.ready_counts.insert(id, n);
+                    n
                 }
                 None => {
                     self.ready_counts.remove(&id);
-                    ReadyProfile::default()
+                    0
                 }
             };
-            self.total_ready.sub(old);
-            self.total_ready.add(new);
+            self.total_ready = self.total_ready - old + new;
         }
         if self.ready_counts.len() != ctx.jobs.len() {
+            // The context bypassed the delta stream: recount every job.
             self.ready_counts.clear();
-            self.total_ready = ReadyProfile::default();
-            // Same bypassed-delta-stream safety net for the frontier: the
-            // ready-stage sets can no longer be trusted, so drop every
-            // cached scoring wholesale.
-            self.frontier.clear();
+            self.total_ready = 0;
             for job in &ctx.jobs {
-                let p = ReadyProfile::of(job);
-                self.ready_counts.insert(job.id(), p);
-                self.total_ready.add(p);
+                let n = job.ready_stage_ids().len();
+                self.ready_counts.insert(job.id(), n);
+                self.total_ready += n;
             }
         }
+        // The ε-draw stream's length depends on this total, so a drifted
+        // count would silently change the schedule.
+        debug_assert_eq!(
+            self.total_ready,
+            ctx.jobs
+                .iter()
+                .map(|j| j.ready_stage_ids().len())
+                .sum::<usize>(),
+            "ready-stage counter drifted from ground truth"
+        );
     }
 
     /// The delta-driven fast path: Algorithm 1 over *lazy* sources.
@@ -560,13 +507,15 @@ impl LlmSched {
     /// (`regular_free` / `llm_free_slots`), no further entry can start —
     /// so only the consumed prefixes of St and Su need real identities.
     /// The rest of the merge must still *run* (the ε-draw RNG stream
-    /// length depends on both list lengths), but it only needs counts,
-    /// which the delta-maintained `total_ready` provides without touching
-    /// any job. St materializes per-job on demand in the persistent SRTF
-    /// order; Su materializes per *group* on demand (groups scanned off
-    /// the persistent interval index) into a max-heap, so the
-    /// most-uncertainty-reduction-first order costs O(pops · log g)
-    /// instead of a full per-invocation sort. Everything emitted is
+    /// length depends on both list lengths), but it only needs counts:
+    /// the delta-maintained ready-stage total gives the list lengths and
+    /// the engine's per-class dispatchable counters
+    /// ([`SchedContext::dispatchable_regular`] / `dispatchable_llm`) give
+    /// the emission budgets, without touching any job. St materializes
+    /// per-job on demand in the persistent SRTF order; Su materializes
+    /// per *group* on demand (groups scanned off the persistent interval
+    /// index) into a max-heap, so the most-uncertainty-reduction-first
+    /// order costs O(pops · log g) instead of a full per-invocation sort. Everything emitted is
     /// bit-identical to the rebuild path's schedule; the equivalence suite
     /// pins it.
     fn schedule_incremental(&mut self, ctx: &SchedContext<'_>) -> Preference {
@@ -577,31 +526,29 @@ impl LlmSched {
         // A class is *closed* once its list covers what could possibly
         // start: the free capacity, or everything available when the
         // class has fewer unstarted tasks than capacity.
-        let rb = ctx.regular_free().min(self.total_ready.reg_tasks);
-        let lb = ctx.llm_free_slots().min(self.total_ready.llm_tasks);
-        let st_len = self.total_ready.stages;
+        let rb = ctx.regular_free().min(ctx.dispatchable_regular);
+        let lb = ctx.llm_free_slots().min(ctx.dispatchable_llm);
+        let st_len = self.total_ready;
         let su_len = if self.cfg.use_uncertainty {
-            self.total_ready.stages
+            self.total_ready
         } else {
             0
         };
 
         // Split field borrows: the lazy sources iterate the persistent
-        // indices directly (no per-invocation id snapshots) while scoring
-        // updates belief memos and the merge draws from the RNG.
+        // indices directly (no per-invocation id snapshots) while the merge
+        // draws from the RNG and fills the reused scratch buffers.
         let LlmSched {
             ref exploit,
             ref intervals,
-            ref interval_hi,
             ref ready_counts,
-            ref mut beliefs,
+            ref beliefs,
             ref store,
             ref cfg,
             ref mut rng,
             ref mut merge_emitted,
             ref mut st_mat_buf,
             ref mut su_heap_buf,
-            ref mut frontier,
             ref mut decisions,
             ..
         } = *self;
@@ -653,11 +600,11 @@ impl LlmSched {
                     // interval order, merging while lower bounds stay
                     // within the group's running upper bound (exactly
                     // `non_overlapping_groups`), pushing the group's
-                    // scored ready-stage frontier into the heap. The
-                    // heap's order is total (ties break on unique
-                    // (job, stage)), so the pops — and with them the
-                    // ε-draw consumption — never observe the push order
-                    // or which jobs came out of the persistent frontier.
+                    // scored ready stages into the heap (Eq. 6 through
+                    // the shared per-evidence MI memo). The heap's order
+                    // is total (ties break on unique (job, stage)), so the
+                    // pops — and with them the ε-draw consumption — never
+                    // observe the push order.
                     let mut cur_hi = f64::NEG_INFINITY;
                     let mut first = true;
                     while let Some(&(lo, id)) = iv_src.peek() {
@@ -665,45 +612,24 @@ impl LlmSched {
                             break;
                         }
                         first = false;
-                        cur_hi = cur_hi.max(interval_hi[&id]);
+                        cur_hi = cur_hi.max(beliefs.work(id).interval(calib).1);
                         iv_src.next();
                         // Jobs with no ready stages contribute nothing:
                         // skip them without touching the job state.
-                        if ready_counts.get(&id).map_or(0, |p| p.stages) == 0 {
+                        if ready_counts.get(&id).copied().unwrap_or(0) == 0 {
                             continue;
                         }
                         let Some(idx) = ctx.job_index(id) else {
                             continue;
                         };
-                        // Dirty-set partial rescoring: a job no delta
-                        // touched since its last scoring replays its
-                        // persistent (stage, score) frontier straight
-                        // into the heap — no job scan, no memo probes.
-                        // Only the misses are scored (Eq. 6, through the
-                        // per-job memos).
-                        if let Some(fr) = frontier.get(&id) {
-                            for &(s, r) in fr {
-                                heap.push(SuEntry {
-                                    score: FiniteF64(r),
-                                    tie: std::cmp::Reverse((id, s)),
-                                    job_idx: idx,
-                                    stage: s,
-                                });
-                            }
-                        } else {
-                            let ready = ctx.jobs[idx].ready_stage_ids();
-                            let mut fr = Vec::with_capacity(ready.len());
-                            for &s in ready {
-                                let r = beliefs.reduction(store, cfg.mi, &ctx.jobs[idx], s);
-                                fr.push((s, r));
-                                heap.push(SuEntry {
-                                    score: FiniteF64(r),
-                                    tie: std::cmp::Reverse((id, s)),
-                                    job_idx: idx,
-                                    stage: s,
-                                });
-                            }
-                            frontier.insert(id, fr);
+                        let job = &ctx.jobs[idx];
+                        for &s in job.ready_stage_ids() {
+                            heap.push(SuEntry {
+                                score: FiniteF64(beliefs.reduction(store, cfg.mi, job, s)),
+                                tie: std::cmp::Reverse((id, s)),
+                                job_idx: idx,
+                                stage: s,
+                            });
                         }
                     }
                 }
@@ -721,7 +647,7 @@ impl LlmSched {
                 st_i += 1;
                 while st_mat.len() < st_i {
                     let Some(id) = st_src.next() else { break };
-                    if ready_counts.get(&id).map_or(0, |p| p.stages) == 0 {
+                    if ready_counts.get(&id).copied().unwrap_or(0) == 0 {
                         continue;
                     }
                     if let Some(i) = ctx.job_index(id) {
@@ -1090,12 +1016,10 @@ impl Scheduler for LlmSched {
             SchedDelta::JobCompleted { job } => {
                 self.exploit.remove(*job);
                 self.intervals.remove(*job);
-                self.interval_hi.remove(job);
-                if let Some(c) = self.ready_counts.remove(job) {
-                    self.total_ready.sub(c);
+                if let Some(n) = self.ready_counts.remove(job) {
+                    self.total_ready -= n;
                 }
                 self.ready_dirty.remove(job);
-                self.frontier.remove(job);
             }
             // Every event that can change a job's ready-stage set: arrival,
             // stage completion (done flags / predecessor counts), reveals
@@ -1107,9 +1031,6 @@ impl Scheduler for LlmSched {
             | SchedDelta::StageRevealed { job, .. }
             | SchedDelta::TasksDispatched { job, .. } => {
                 self.ready_dirty.insert(*job);
-                // The ready-stage set may have moved: the cached scored
-                // frontier no longer lists the right candidates.
-                self.frontier.remove(job);
             }
             // Pure observations: consumed by the store above, no
             // ready-set or belief change until a snapshot publishes.
@@ -1126,12 +1047,10 @@ impl Scheduler for LlmSched {
         self.beliefs.clear();
         self.exploit.clear();
         self.intervals.clear();
-        self.interval_hi.clear();
         self.last_calib = None;
         self.ready_counts.clear();
         self.ready_dirty.clear();
-        self.total_ready = ReadyProfile::default();
-        self.frontier.clear();
+        self.total_ready = 0;
         self.rng = StdRng::seed_from_u64(self.cfg.seed);
         self.decisions.clear();
     }

@@ -57,7 +57,25 @@ pub fn uncertainty_reduction(
     evidence: &Evidence,
     estimator: MiEstimator,
 ) -> f64 {
-    reduction_impl(
+    let x = stage.index();
+    if x >= profile.n_stages() || evidence.contains_key(&x) {
+        return 0.0;
+    }
+    let mi = mi_part(profile, job, stage, evidence, estimator);
+    add_dynamic_bonus(profile, job, stage, mi)
+}
+
+/// The evidence-determined MI term of [`uncertainty_reduction`], by full
+/// BN inference per query — for posterior states without a BN cache (the
+/// w/o-BN ablation).
+pub(crate) fn mi_part(
+    profile: &AppProfile,
+    job: &JobRt,
+    stage: StageId,
+    evidence: &Evidence,
+    estimator: MiEstimator,
+) -> f64 {
+    mi_part_impl(
         profile,
         job,
         stage,
@@ -68,33 +86,12 @@ pub fn uncertainty_reduction(
     )
 }
 
-/// The Eq. 6 composition shared by the entry points: the
-/// evidence-determined mutual-information term followed by the
-/// job-specific dynamic-expansion bonus, accumulated in the original
-/// order.
-fn reduction_impl<'a>(
-    profile: &AppProfile,
-    job: &JobRt,
-    stage: StageId,
-    estimator: MiEstimator,
-    marginal: impl Fn(usize) -> Cow<'a, [f64]>,
-    joint: impl Fn(&[usize]) -> llmsched_bayes::factor::Factor,
-    observed: impl Fn(usize) -> bool,
-) -> f64 {
-    let x = stage.index();
-    if x >= profile.n_stages() || observed(x) {
-        return 0.0;
-    }
-    let mi = mi_part_impl(profile, job, stage, estimator, marginal, joint, observed);
-    add_dynamic_bonus(profile, job, stage, mi)
-}
-
-/// Cached-pool variant of the MI term (see [`reduction_impl`]); `ep`
-/// must carry a BN cache built from `evidence`.
+/// Cached-pool variant of [`mi_part`]; `ep` must carry a BN cache built
+/// from `evidence`.
 ///
 /// # Panics
 /// Panics if `ep` has no BN cache (the caller routes the w/o-BN ablation
-/// through the uncached path).
+/// through [`mi_part`]).
 pub(crate) fn mi_part_cached(
     profile: &AppProfile,
     job: &JobRt,

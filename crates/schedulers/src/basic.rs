@@ -3,14 +3,18 @@
 //! Every policy here ships two execution paths producing bit-identical
 //! schedules:
 //!
-//! * **incremental** (default) — a persistent [`DeltaIndex`] keeps the
-//!   job ordering across invocations; [`Scheduler::on_delta`] marks jobs
-//!   whose sort key changed and only those are repositioned
-//!   (O(changes · log n) per event);
+//! * **default** — emission under a free-capacity [`Budget`], which stops
+//!   once both preference lists cover what could start. Fair, SJF and
+//!   SRTF keep a persistent [`DeltaIndex`] for their job ordering;
+//!   [`Scheduler::on_delta`] marks jobs whose sort key changed and only
+//!   those are repositioned (O(changes · log n) per event). FCFS has no
+//!   index: arrival order is almost always the active projection's own
+//!   order, so its stable `(arrival, JobId)` sort is linear and measured
+//!   faster than maintaining one;
 //! * **rebuild** (via the `::rebuild()` constructors) — the original
-//!   sort-everything-per-call behavior, kept as the reference
-//!   implementation the equivalence tests and the `scale_throughput`
-//!   bench compare against.
+//!   sort-everything-per-call behavior with unbounded emission, kept as
+//!   the reference implementation the equivalence tests and the
+//!   `scale_throughput` bench compare against.
 
 use llmsched_dag::time::SimTime;
 use llmsched_sim::incr::{DeltaIndex, FiniteF64};
@@ -31,38 +35,23 @@ fn push_all_ready(p: &mut Preference, job: &JobRt) {
 #[derive(Debug, Default)]
 pub struct Fcfs {
     rebuild: bool,
-    index: DeltaIndex<SimTime>,
 }
 
 impl Fcfs {
-    /// The incremental FCFS scheduler (same as `Default`).
+    /// The budgeted FCFS scheduler (same as `Default`).
     pub fn new() -> Self {
         Self::default()
     }
 
     /// The reference rebuild-per-call variant.
     pub fn rebuild() -> Self {
-        Fcfs {
-            rebuild: true,
-            ..Self::default()
-        }
+        Fcfs { rebuild: true }
     }
 }
 
 impl Scheduler for Fcfs {
     fn name(&self) -> &str {
         "FCFS"
-    }
-
-    fn on_delta(&mut self, d: &SchedDelta) {
-        if !self.rebuild {
-            // Arrival order never changes: no delta dirties a key.
-            self.index.on_delta(d, |_| false);
-        }
-    }
-
-    fn reset(&mut self) {
-        self.index.clear();
     }
 
     // The `!could_dispatch` early-return above every decision makes the
@@ -81,22 +70,19 @@ impl Scheduler for Fcfs {
             return Preference::new();
         }
         let mut p = Preference::new();
+        let mut jobs: Vec<&JobRt> = ctx.jobs.iter().collect();
+        jobs.sort_by_key(|j| (j.arrival(), j.id()));
         if self.rebuild {
-            let mut jobs: Vec<&JobRt> = ctx.jobs.iter().collect();
-            jobs.sort_by_key(|j| (j.arrival(), j.id()));
             for job in jobs {
                 push_all_ready(&mut p, job);
             }
         } else {
-            self.index.refresh(ctx, |j| j.arrival());
             let budget = Budget::of(ctx);
-            for id in self.index.jobs().ids() {
+            for job in jobs {
                 if budget.met(&p) {
                     break;
                 }
-                if let Some(job) = ctx.job(id) {
-                    budget.push_all_ready(&mut p, job);
-                }
+                budget.push_all_ready(&mut p, job);
             }
         }
         p
@@ -473,6 +459,55 @@ mod tests {
             &mut Sjf::rebuild(priors.clone()),
         );
         assert_same_schedule(&mut Srtf::new(priors.clone()), &mut Srtf::rebuild(priors));
+    }
+
+    #[test]
+    fn fcfs_orders_by_arrival_not_job_id() {
+        // Job 0 holds the only regular executor for 1 s; jobs 2 and 1
+        // queue behind it in that arrival order, against JobId order.
+        use llmsched_dag::prelude::*;
+        use llmsched_sim::engine::{simulate, ClusterConfig};
+        let mut b = TemplateBuilder::new(AppId(0), "one_stage");
+        b.regular("exec");
+        let template = b.build().unwrap();
+        let job = |id: u64, arrival: f64| {
+            JobSpec::new(
+                JobId(id),
+                &template,
+                SimTime::from_secs_f64(arrival),
+                vec![StageSpec::executing(
+                    "exec",
+                    StageKind::Regular,
+                    vec![TaskWork::Regular {
+                        duration: SimDuration::from_secs_f64(1.0),
+                    }],
+                )],
+                vec![],
+            )
+            .unwrap()
+        };
+        let templates: TemplateSet = [template.clone()].into_iter().collect();
+        let cfg = ClusterConfig {
+            regular_executors: 1,
+            llm_executors: 1,
+            ..ClusterConfig::default()
+        };
+        for mut sched in [Fcfs::new(), Fcfs::rebuild()] {
+            let jobs = vec![job(0, 0.0), job(1, 0.3), job(2, 0.2)];
+            let r = simulate(&cfg, &templates, jobs, &mut sched);
+            assert_eq!(r.incomplete, 0);
+            let done = |id: u64| {
+                r.jobs
+                    .iter()
+                    .find(|j| j.id == JobId(id))
+                    .unwrap()
+                    .completion
+            };
+            assert!(
+                done(2) < done(1),
+                "job 2 arrived first and must finish before job 1"
+            );
+        }
     }
 
     #[test]

@@ -389,10 +389,17 @@ pub struct SchedContext<'a> {
     /// so policy state evolves identically either way.
     pub dispatchable: usize,
     /// [`SchedContext::dispatchable`] restricted to regular-executor
-    /// stages. Informational split for policies that want per-class
-    /// frontier sizes without rescanning.
+    /// stages: how many regular tasks could start at most. Policies cap
+    /// their bounded-emission budgets with it instead of keeping their
+    /// own per-class counts (LLMSched's ε-merge stops materializing once
+    /// `min(regular_free(), dispatchable_regular)` entries are emitted),
+    /// so it must be exact — the engine debug-asserts it against ground
+    /// truth at every decision point.
     pub dispatchable_regular: usize,
-    /// [`SchedContext::dispatchable`] restricted to LLM-executor stages.
+    /// [`SchedContext::dispatchable`] restricted to LLM-executor stages;
+    /// the LLM-class counterpart of
+    /// [`SchedContext::dispatchable_regular`], with the same exactness
+    /// requirement.
     pub dispatchable_llm: usize,
     /// Engine-computed capacity verdict: true iff at least one ready,
     /// unstarted task could start *right now* — a free regular executor
