@@ -326,12 +326,10 @@ mod tests {
         jobs: &'a [JobRt],
         templates: &'a llmsched_dag::template::TemplateSet,
         latency: &'a llmsched_sim::latency::LatencyProfile,
-        deltas: &'a [SchedDelta],
     ) -> SchedContext<'a> {
         SchedContext {
             now: SimTime::ZERO,
             jobs: llmsched_sim::scheduler::ActiveJobs::dense(jobs),
-            deltas,
             llm_executors: &[LlmExecutorView {
                 index: 0,
                 batch_len: 0,
@@ -362,7 +360,7 @@ mod tests {
         let w = generate_workload(WorkloadKind::Mixed, 5, 0.9, 4);
         let jobs: Vec<JobRt> = w.jobs.into_iter().map(JobRt::new).collect();
         let latency = llmsched_sim::latency::LatencyProfile::default();
-        let ctx = ctx_of(&jobs, &w.templates, &latency, &[]);
+        let ctx = ctx_of(&jobs, &w.templates, &latency);
 
         let mut beliefs = BeliefStore::new();
         let changed = beliefs.refresh(&store, &ctx, true, 0.35);
@@ -412,7 +410,7 @@ mod tests {
             })
             .collect();
         let latency = llmsched_sim::latency::LatencyProfile::default();
-        let ctx = ctx_of(&jobs, &templates, &latency, &[]);
+        let ctx = ctx_of(&jobs, &templates, &latency);
         let mut beliefs = BeliefStore::new();
         beliefs.refresh(&store, &ctx, false, 0.35);
 
@@ -449,7 +447,7 @@ mod tests {
         let w = generate_workload(WorkloadKind::Mixed, 8, 0.9, 4);
         let jobs: Vec<JobRt> = w.jobs.into_iter().map(JobRt::new).collect();
         let latency = llmsched_sim::latency::LatencyProfile::default();
-        let ctx = ctx_of(&jobs, &w.templates, &latency, &[]);
+        let ctx = ctx_of(&jobs, &w.templates, &latency);
 
         let mut beliefs = BeliefStore::new();
         beliefs.refresh(&store, &ctx, true, 0.35);

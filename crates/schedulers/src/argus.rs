@@ -6,32 +6,37 @@
 //! in the paper's Predefined workloads it effectively degenerates to
 //! application-level scheduling, which LLMSched beats by re-estimating
 //! durations per job (§V-A).
+//!
+//! Jobs are sorted by `(arrival, JobId)` on every call: the active jobs
+//! are almost always in arrival order already. At 3,000 mixed jobs on a
+//! 48× cluster (2-hardware-thread host) a run took 0.12–0.17 s this way
+//! against 0.30–0.39 s with a persistent delta index. The one cache kept
+//! is each job's critical-path heights.
 
 use std::collections::HashMap;
 
 use llmsched_dag::ids::{JobId, StageId};
-use llmsched_dag::time::SimTime;
-use llmsched_sim::incr::DeltaIndex;
 use llmsched_sim::scheduler::{Preference, SchedContext, SchedDelta, Scheduler};
 use llmsched_sim::state::JobRt;
 
-use crate::util::{visible_heights, Budget};
+use crate::util::{sorted_jobs, visible_heights, Budget};
 
 /// The Argus-like stage-rank scheduler.
 ///
-/// Incremental by default: jobs live in a persistent arrival-ordered
-/// index, and each job's critical-path heights are cached and invalidated
-/// only by that job's [`SchedDelta::StageRevealed`] deltas — heights are a
-/// pure function of the visible DAG, which only reveals can change.
+/// Each job's critical-path heights are cached with the length of the
+/// visible-stage set they were computed from. Heights are a pure function
+/// of the visible DAG, and that set only grows as stages are revealed, so
+/// an entry is stale exactly when the length moved; completed jobs are
+/// evicted on [`SchedDelta::JobCompleted`]. The `::rebuild()` reference
+/// recomputes the heights on every call and emits without a budget.
 #[derive(Debug, Default)]
 pub struct Argus {
     rebuild: bool,
-    index: DeltaIndex<SimTime>,
-    heights: HashMap<JobId, HashMap<StageId, usize>>,
+    heights: HashMap<JobId, (usize, HashMap<StageId, usize>)>,
 }
 
 impl Argus {
-    /// The incremental Argus scheduler (same as `Default`).
+    /// The budgeted Argus scheduler (same as `Default`).
     pub fn new() -> Self {
         Self::default()
     }
@@ -59,7 +64,7 @@ struct Rank {
     tasks: usize,
 }
 
-fn rank(job: &JobRt, stage: StageId, heights: &std::collections::HashMap<StageId, usize>) -> Rank {
+fn rank(job: &JobRt, stage: StageId, heights: &HashMap<StageId, usize>) -> Rank {
     let view = job.stage_view(stage).expect("ready stage is visible");
     let h = heights.get(&stage).copied().unwrap_or(0);
     let max_h = heights.values().copied().max().unwrap_or(0).max(1);
@@ -76,24 +81,12 @@ impl Scheduler for Argus {
     }
 
     fn on_delta(&mut self, d: &SchedDelta) {
-        if self.rebuild {
-            return;
-        }
-        self.index.on_delta(d, |_| false);
-        match d {
-            // Visibility changed: the cached heights are stale.
-            SchedDelta::StageRevealed { job, .. } => {
-                self.heights.remove(job);
-            }
-            SchedDelta::JobCompleted { job } => {
-                self.heights.remove(job);
-            }
-            _ => {}
+        if let SchedDelta::JobCompleted { job } = d {
+            self.heights.remove(job);
         }
     }
 
     fn reset(&mut self) {
-        self.index.clear();
         self.heights.clear();
     }
 
@@ -112,56 +105,37 @@ impl Scheduler for Argus {
             // bit-identical.
             return Preference::new();
         }
-        if self.rebuild {
-            // Collect every ready stage with its rank.
-            let mut candidates: Vec<(Rank, &JobRt, StageId)> = Vec::new();
-            for job in &ctx.jobs {
-                let heights = visible_heights(job);
-                for &s in job.ready_stage_ids() {
-                    candidates.push((rank(job, s, &heights), job, s));
-                }
-            }
-            // Jobs are served in arrival order (Argus is job-duration-blind);
-            // the topology rank orders stages *within* a job. Comparing ranks
-            // across jobs would strictly prioritize the deepest application —
-            // longest-app-first, which no fair reading of Argus intends.
-            candidates.sort_by(|a, b| {
-                (a.1.arrival(), a.1.id())
-                    .cmp(&(b.1.arrival(), b.1.id()))
-                    .then_with(|| b.0.cmp(&a.0))
-                    .then_with(|| a.2.cmp(&b.2))
-            });
-            let mut p = Preference::new();
-            for (_, job, s) in candidates {
-                p.push_stage_tasks(job, s);
-            }
-            return p;
-        }
-
-        // Incremental path: the (arrival, id) job order is the index order,
-        // and the full-key sort above groups candidates by job first — so
-        // ranking stages *within* each job in index order reproduces the
-        // rebuild schedule exactly. If the index had to rebuild (context
-        // outside the delta stream), the heights cache missed the same
-        // reveals: drop it too.
-        if self.index.refresh(ctx, |j| j.arrival()) {
-            self.heights.clear();
-        }
-        let budget = Budget::of(ctx);
+        // Jobs are served in arrival order (Argus is job-duration-blind);
+        // the topology rank orders stages *within* a job. Comparing ranks
+        // across jobs would strictly prioritize the deepest application —
+        // longest-app-first, which no fair reading of Argus intends.
+        let budget = Budget::for_call(ctx, self.rebuild);
         let mut p = Preference::new();
-        for id in self.index.jobs().ids() {
+        for job in sorted_jobs(ctx, |j| j.arrival()) {
             if budget.met(&p) {
                 break;
             }
-            let Some(job) = ctx.job(id) else { continue };
             let ready = job.ready_stage_ids();
             if ready.is_empty() {
                 continue;
             }
-            let heights = self
-                .heights
-                .entry(id)
-                .or_insert_with(|| visible_heights(job));
+            let fresh;
+            let heights = if self.rebuild {
+                fresh = visible_heights(job);
+                &fresh
+            } else {
+                let visible = job.visible_stage_ids().len();
+                let (seen, heights) = self
+                    .heights
+                    .entry(job.id())
+                    .or_insert_with(|| (visible, visible_heights(job)));
+                if *seen != visible {
+                    *seen = visible;
+                    *heights = visible_heights(job);
+                }
+                debug_assert_eq!(*heights, visible_heights(job), "stale Argus heights");
+                &*heights
+            };
             let mut ranked: Vec<(Rank, StageId)> =
                 ready.iter().map(|&s| (rank(job, s, heights), s)).collect();
             ranked.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
@@ -188,6 +162,23 @@ mod tests {
     #[test]
     fn incremental_matches_rebuild() {
         assert_same_schedule(&mut Argus::new(), &mut Argus::rebuild());
+    }
+
+    #[test]
+    fn orders_jobs_by_arrival_and_deeper_stages_first() {
+        // Job 1 arrived before job 0; in each job `head` (stage 1, with a
+        // child) outranks the childless `lone` (stage 0).
+        use crate::testkit::{fork_job, fork_template, schedule_once};
+        let t = fork_template(0);
+        let jobs = [
+            JobRt::new(fork_job(&t, 0, 0.3, 1.0)),
+            JobRt::new(fork_job(&t, 1, 0.1, 1.0)),
+        ];
+        for mut argus in [Argus::new(), Argus::rebuild()] {
+            let p = schedule_once(&mut argus, &jobs);
+            let order: Vec<(u64, u32)> = p.regular.iter().map(|r| (r.job.0, r.stage.0)).collect();
+            assert_eq!(order, [(1, 1), (1, 0), (0, 1), (0, 0)]);
+        }
     }
 
     #[test]

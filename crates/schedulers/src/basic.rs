@@ -1,34 +1,29 @@
 //! Job-agnostic and duration-based baselines: FCFS, Fair, SJF, SRTF.
 //!
-//! Every policy here ships two execution paths producing bit-identical
-//! schedules:
+//! Every policy here has one `schedule` body. Its `::rebuild()` reference
+//! runs that body with unbounded emission ([`Budget::unbounded`]) and
+//! keys recomputed on every call; the default emits under the call's
+//! free capacity ([`Budget::of`]). The equivalence tests pin the two to
+//! the same schedule.
 //!
-//! * **default** — emission under a free-capacity [`Budget`], which stops
-//!   once both preference lists cover what could start. Fair, SJF and
-//!   SRTF keep a persistent [`DeltaIndex`] for their job ordering;
-//!   [`Scheduler::on_delta`] marks jobs whose sort key changed and only
-//!   those are repositioned (O(changes · log n) per event). FCFS has no
-//!   index: arrival order is almost always the active projection's own
-//!   order, so its stable `(arrival, JobId)` sort is linear and measured
-//!   faster than maintaining one;
-//! * **rebuild** (via the `::rebuild()` constructors) — the original
-//!   sort-everything-per-call behavior with unbounded emission, kept as
-//!   the reference implementation the equivalence tests and the
-//!   `scale_throughput` bench compare against.
+//! Each default path keeps the job order that measured cheapest:
+//!
+//! * FCFS stable-sorts by `(arrival, JobId)`: the active jobs are almost
+//!   always in arrival order already, so the sort is linear.
+//! * Fair sorts by `(running tasks, arrival, JobId)` on every call, each
+//!   key computed once per job. A persistent [`DeltaIndex`] repositioned
+//!   on every task dispatch/finish delta was no faster.
+//! * SJF and SRTF keep a [`DeltaIndex`]: their keys move rarely (never
+//!   for SJF, on stage completions for SRTF), and sorting per call made
+//!   them 1.5–1.6× and 4.3–5.9× slower at 300 and 3,000 mixed jobs (see
+//!   `llmsched_sim::incr`). The `::rebuild()` reference sorts instead.
 
 use llmsched_dag::time::SimTime;
 use llmsched_sim::incr::{DeltaIndex, FiniteF64};
 use llmsched_sim::scheduler::{Preference, SchedContext, SchedDelta, Scheduler};
 use llmsched_sim::state::JobRt;
 
-use crate::util::{AppPriors, Budget, ReadyTasks};
-
-/// Pushes every ready task of `job` in ascending stage order.
-fn push_all_ready(p: &mut Preference, job: &JobRt) {
-    for &s in job.ready_stage_ids() {
-        p.push_stage_tasks(job, s);
-    }
-}
+use crate::util::{sorted_jobs, AppPriors, Budget, ReadyTasks};
 
 /// **First Come First Serve** — jobs in arrival order (Spark's default
 /// scheme; job-agnostic).
@@ -69,22 +64,10 @@ impl Scheduler for Fcfs {
             // bit-identical.
             return Preference::new();
         }
-        let mut p = Preference::new();
         let mut jobs: Vec<&JobRt> = ctx.jobs.iter().collect();
         jobs.sort_by_key(|j| (j.arrival(), j.id()));
-        if self.rebuild {
-            for job in jobs {
-                push_all_ready(&mut p, job);
-            }
-        } else {
-            let budget = Budget::of(ctx);
-            for job in jobs {
-                if budget.met(&p) {
-                    break;
-                }
-                budget.push_all_ready(&mut p, job);
-            }
-        }
+        let mut p = Preference::new();
+        Budget::for_call(ctx, self.rebuild).push_jobs(&mut p, jobs);
         p
     }
 }
@@ -95,30 +78,24 @@ impl Scheduler for Fcfs {
 #[derive(Debug, Default)]
 pub struct Fair {
     rebuild: bool,
-    /// Ordered by (running tasks, arrival): repositioned on task
-    /// dispatch/finish deltas.
-    index: DeltaIndex<(usize, SimTime)>,
 }
 
 impl Fair {
-    /// The incremental Fair scheduler (same as `Default`).
+    /// The budgeted Fair scheduler (same as `Default`).
     pub fn new() -> Self {
         Self::default()
     }
 
     /// The reference rebuild-per-call variant.
     pub fn rebuild() -> Self {
-        Fair {
-            rebuild: true,
-            ..Self::default()
-        }
+        Fair { rebuild: true }
     }
 
     /// Round-robin task interleaving over per-job ready queues, offered in
-    /// the given (least-served-first) job order. With a budget, emission
-    /// is class-aware and stops once the free capacity is covered
-    /// (dispatch-invariant: skipped entries could never start).
-    fn round_robin(p: &mut Preference, queues: &[(&JobRt, ReadyTasks)], budget: Option<Budget>) {
+    /// the given (least-served-first) job order. Emission is class-aware
+    /// and stops once `budget` is met (dispatch-invariant: skipped entries
+    /// could never start).
+    fn round_robin(p: &mut Preference, queues: &[(&JobRt, ReadyTasks)], budget: Budget) {
         let mut cursors = vec![0usize; queues.len()];
         let mut progressed = true;
         while progressed {
@@ -127,27 +104,10 @@ impl Fair {
                 if let Some(&(stage, task)) = tasks.get(cursors[qi]) {
                     cursors[qi] += 1;
                     progressed = true;
-                    match budget {
-                        Some(b) => {
-                            if b.met(p) {
-                                return;
-                            }
-                            b.push_task(p, job, stage, task);
-                        }
-                        None => {
-                            let view = job.stage_view(stage).expect("ready stage is visible");
-                            let r = llmsched_sim::scheduler::TaskRef {
-                                job: job.id(),
-                                stage,
-                                task,
-                            };
-                            match view.kind {
-                                llmsched_dag::job::StageKind::Llm => p.llm.push(r),
-                                llmsched_dag::job::StageKind::Regular => p.regular.push(r),
-                                llmsched_dag::job::StageKind::DynamicPlaceholder => {}
-                            }
-                        }
+                    if budget.met(p) {
+                        return;
                     }
+                    budget.push_task(p, job, stage, task);
                 }
             }
         }
@@ -166,22 +126,6 @@ impl Scheduler for Fair {
         "Fair"
     }
 
-    fn on_delta(&mut self, d: &SchedDelta) {
-        if !self.rebuild {
-            // Running-task counts move exactly on dispatch/finish deltas.
-            self.index.on_delta(d, |d| {
-                matches!(
-                    d,
-                    SchedDelta::TasksDispatched { .. } | SchedDelta::TasksFinished { .. }
-                )
-            });
-        }
-    }
-
-    fn reset(&mut self) {
-        self.index.clear();
-    }
-
     // The `!could_dispatch` early-return above every decision makes the
     // policy a provable no-op at capacity-starved points: capacity-aware
     // elision is sound.
@@ -197,31 +141,34 @@ impl Scheduler for Fair {
             // bit-identical.
             return Preference::new();
         }
-        let mut p = Preference::new();
-        if self.rebuild {
-            let mut queues: Vec<(usize, &JobRt, ReadyTasks)> = ctx
-                .jobs
-                .iter()
-                .map(|j| (j.running_tasks(), j, Self::ready_queue(j)))
-                .collect();
-            queues.sort_by_key(|(running, j, _)| (*running, j.arrival(), j.id()));
-            let flat: Vec<(&JobRt, ReadyTasks)> =
-                queues.into_iter().map(|(_, j, tasks)| (j, tasks)).collect();
-            Self::round_robin(&mut p, &flat, None);
-        } else {
-            self.index
-                .refresh(ctx, |j| (j.running_tasks(), j.arrival()));
-            let queues: Vec<(&JobRt, ReadyTasks)> = self
-                .index
-                .jobs()
-                .ids()
-                .filter_map(|id| ctx.job(id))
+        let queues: Vec<(&JobRt, ReadyTasks)> =
+            sorted_jobs(ctx, |j| (j.running_tasks(), j.arrival()))
                 .map(|j| (j, Self::ready_queue(j)))
                 .collect();
-            Self::round_robin(&mut p, &queues, Some(Budget::of(ctx)));
-        }
+        let mut p = Preference::new();
+        Self::round_robin(&mut p, &queues, Budget::for_call(ctx, self.rebuild));
         p
     }
+}
+
+/// SJF and SRTF's shared body: ready stages of each job in `(key, JobId)`
+/// order under the call's budget. The order comes from the refreshed
+/// delta index, or from a per-call sort for the `::rebuild()` reference.
+fn emit_in_key_order<K: Ord + Copy>(
+    index: &mut DeltaIndex<K>,
+    rebuild: bool,
+    ctx: &SchedContext<'_>,
+    key: impl Fn(&JobRt) -> K,
+) -> Preference {
+    let budget = Budget::for_call(ctx, rebuild);
+    let mut p = Preference::new();
+    if rebuild {
+        budget.push_jobs(&mut p, sorted_jobs(ctx, key));
+    } else {
+        index.refresh(ctx, key);
+        budget.push_jobs(&mut p, index.jobs().ids().filter_map(|id| ctx.job(id)));
+    }
+    p
 }
 
 /// **Shortest Job First** — prioritizes the job with the shortest
@@ -286,34 +233,10 @@ impl Scheduler for Sjf {
             // bit-identical.
             return Preference::new();
         }
-        let mut p = Preference::new();
-        if self.rebuild {
-            let mut jobs: Vec<&JobRt> = ctx.jobs.iter().collect();
-            jobs.sort_by(|a, b| {
-                self.priors
-                    .job_mean(a.app())
-                    .partial_cmp(&self.priors.job_mean(b.app()))
-                    .expect("means are finite")
-                    .then_with(|| (a.arrival(), a.id()).cmp(&(b.arrival(), b.id())))
-            });
-            for job in jobs {
-                push_all_ready(&mut p, job);
-            }
-        } else {
-            let priors = &self.priors;
-            self.index
-                .refresh(ctx, |j| (FiniteF64(priors.job_mean(j.app())), j.arrival()));
-            let budget = Budget::of(ctx);
-            for id in self.index.jobs().ids() {
-                if budget.met(&p) {
-                    break;
-                }
-                if let Some(job) = ctx.job(id) {
-                    budget.push_all_ready(&mut p, job);
-                }
-            }
-        }
-        p
+        let priors = &self.priors;
+        emit_in_key_order(&mut self.index, self.rebuild, ctx, |j| {
+            (FiniteF64(priors.job_mean(j.app())), j.arrival())
+        })
     }
 }
 
@@ -379,37 +302,10 @@ impl Scheduler for Srtf {
             // bit-identical.
             return Preference::new();
         }
-        let mut p = Preference::new();
-        if self.rebuild {
-            let mut jobs: Vec<(f64, &JobRt)> = ctx
-                .jobs
-                .iter()
-                .map(|j| (self.priors.remaining_estimate(j), j))
-                .collect();
-            jobs.sort_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .expect("estimates are finite")
-                    .then_with(|| (a.1.arrival(), a.1.id()).cmp(&(b.1.arrival(), b.1.id())))
-            });
-            for (_, job) in jobs {
-                push_all_ready(&mut p, job);
-            }
-        } else {
-            let priors = &self.priors;
-            self.index.refresh(ctx, |j| {
-                (FiniteF64(priors.remaining_estimate(j)), j.arrival())
-            });
-            let budget = Budget::of(ctx);
-            for id in self.index.jobs().ids() {
-                if budget.met(&p) {
-                    break;
-                }
-                if let Some(job) = ctx.job(id) {
-                    budget.push_all_ready(&mut p, job);
-                }
-            }
-        }
-        p
+        let priors = &self.priors;
+        emit_in_key_order(&mut self.index, self.rebuild, ctx, |j| {
+            (FiniteF64(priors.remaining_estimate(j)), j.arrival())
+        })
     }
 }
 
@@ -461,52 +357,101 @@ mod tests {
         assert_same_schedule(&mut Srtf::new(priors.clone()), &mut Srtf::rebuild(priors));
     }
 
-    #[test]
-    fn fcfs_orders_by_arrival_not_job_id() {
-        // Job 0 holds the only regular executor for 1 s; jobs 2 and 1
-        // queue behind it in that arrival order, against JobId order.
+    /// Simulates jobs `(id, arrival, task seconds)` of a one-stage
+    /// regular template on `regular` regular executors.
+    fn run_one_stage(
+        sched: &mut dyn Scheduler,
+        regular: usize,
+        jobs: &[(u64, f64, &[f64])],
+    ) -> llmsched_sim::metrics::SimResult {
         use llmsched_dag::prelude::*;
         use llmsched_sim::engine::{simulate, ClusterConfig};
         let mut b = TemplateBuilder::new(AppId(0), "one_stage");
         b.regular("exec");
         let template = b.build().unwrap();
-        let job = |id: u64, arrival: f64| {
-            JobSpec::new(
-                JobId(id),
-                &template,
-                SimTime::from_secs_f64(arrival),
-                vec![StageSpec::executing(
-                    "exec",
-                    StageKind::Regular,
-                    vec![TaskWork::Regular {
-                        duration: SimDuration::from_secs_f64(1.0),
-                    }],
-                )],
-                vec![],
-            )
-            .unwrap()
-        };
+        let specs = jobs
+            .iter()
+            .map(|&(id, arrival, secs)| {
+                let tasks = secs
+                    .iter()
+                    .map(|&s| TaskWork::Regular {
+                        duration: SimDuration::from_secs_f64(s),
+                    })
+                    .collect();
+                JobSpec::new(
+                    JobId(id),
+                    &template,
+                    SimTime::from_secs_f64(arrival),
+                    vec![StageSpec::executing("exec", StageKind::Regular, tasks)],
+                    vec![],
+                )
+                .unwrap()
+            })
+            .collect();
         let templates: TemplateSet = [template.clone()].into_iter().collect();
         let cfg = ClusterConfig {
-            regular_executors: 1,
+            regular_executors: regular,
             llm_executors: 1,
             ..ClusterConfig::default()
         };
+        simulate(&cfg, &templates, specs, sched)
+    }
+
+    #[test]
+    fn fcfs_orders_by_arrival_not_job_id() {
+        // Job 0 holds the only regular executor for 1 s; jobs 2 and 1
+        // queue behind it in that arrival order, against JobId order.
         for mut sched in [Fcfs::new(), Fcfs::rebuild()] {
-            let jobs = vec![job(0, 0.0), job(1, 0.3), job(2, 0.2)];
-            let r = simulate(&cfg, &templates, jobs, &mut sched);
+            let jobs: [(u64, f64, &[f64]); 3] =
+                [(0, 0.0, &[1.0]), (1, 0.3, &[1.0]), (2, 0.2, &[1.0])];
+            let r = run_one_stage(&mut sched, 1, &jobs);
             assert_eq!(r.incomplete, 0);
-            let done = |id: u64| {
-                r.jobs
-                    .iter()
-                    .find(|j| j.id == JobId(id))
-                    .unwrap()
-                    .completion
-            };
+            let done = |id: u64| r.jobs.iter().find(|j| j.id.0 == id).unwrap().completion;
             assert!(
                 done(2) < done(1),
                 "job 2 arrived first and must finish before job 1"
             );
+        }
+    }
+
+    #[test]
+    fn fair_offers_the_least_served_job_first() {
+        // Two regular executors. Job 0 starts tasks of 1 s and 3 s at
+        // t = 0; job 1 arrives at 0.5 s. When the 1 s task ends, job 0
+        // still runs one task and job 1 none, so job 1 must lead the
+        // preference although job 0 arrived first and has the lower id.
+        use llmsched_sim::scheduler::TaskRef;
+
+        /// Records every non-empty regular list the inner policy emits.
+        struct Recording(Fair, Vec<Vec<TaskRef>>);
+        impl Scheduler for Recording {
+            fn name(&self) -> &str {
+                "recording"
+            }
+            fn schedule(&mut self, ctx: &SchedContext<'_>) -> Preference {
+                let p = self.0.schedule(ctx);
+                if !p.regular.is_empty() {
+                    self.1.push(p.regular.clone());
+                }
+                p
+            }
+            fn on_delta(&mut self, d: &SchedDelta) {
+                self.0.on_delta(d);
+            }
+            fn reset(&mut self) {
+                self.0.reset();
+            }
+        }
+
+        for fair in [Fair::new(), Fair::rebuild()] {
+            let mut rec = Recording(fair, Vec::new());
+            let jobs: [(u64, f64, &[f64]); 2] = [(0, 0.0, &[1.0, 3.0, 1.0]), (1, 0.5, &[1.0])];
+            let r = run_one_stage(&mut rec, 2, &jobs);
+            assert_eq!(r.incomplete, 0);
+            let second: Vec<(u64, u32)> = rec.1[1].iter().map(|t| (t.job.0, t.task)).collect();
+            // The budgeted path stops after the one free executor's entry.
+            assert_eq!(second[0], (1, 0));
+            assert_eq!(second.get(1).copied().unwrap_or((0, 2)), (0, 2));
         }
     }
 

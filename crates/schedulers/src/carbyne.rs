@@ -17,35 +17,34 @@
 //! this heuristic preserves that behavior. Substitution documented in
 //! `DESIGN.md` §6.
 
-use llmsched_dag::ids::StageId;
-use llmsched_dag::time::SimTime;
-use llmsched_sim::incr::{DeltaIndex, EstimateCache};
-use llmsched_sim::scheduler::{Preference, SchedContext, SchedDelta, Scheduler, TaskRef};
+use llmsched_sim::incr::EstimateCache;
+use llmsched_sim::scheduler::{Preference, SchedContext, SchedDelta, Scheduler};
 use llmsched_sim::state::JobRt;
 
-use crate::util::{visible_heights, AppPriors, Budget, ReadyTasks};
+use crate::util::{sorted_jobs, visible_heights, AppPriors, Budget, ReadyTasks};
 
 /// The Carbyne-like altruistic scheduler.
 ///
-/// Incremental by default: the fair-phase (running tasks, arrival) order
-/// is a persistent [`DeltaIndex`] repositioned on task dispatch/finish
-/// deltas, and the leftover-phase remaining-work estimates come from a
-/// delta-refreshed [`EstimateCache`].
+/// The fair-phase `(running tasks, arrival, JobId)` order is sorted on
+/// every call, each key computed once per job: a persistent delta index
+/// repositioned on every task dispatch/finish delta was no faster. The
+/// leftover-phase remaining-work estimates come from a delta-refreshed
+/// [`EstimateCache`], since an estimate walks the job's whole template.
+/// The `::rebuild()` reference recomputes the estimates on every call and
+/// emits without a budget.
 #[derive(Debug)]
 pub struct CarbyneLike {
     priors: AppPriors,
     rebuild: bool,
-    index: DeltaIndex<(usize, SimTime)>,
     estimates: EstimateCache,
 }
 
 impl CarbyneLike {
-    /// Builds the incremental policy with historical priors.
+    /// Builds the budgeted policy with historical priors.
     pub fn new(priors: AppPriors) -> Self {
         CarbyneLike {
             priors,
             rebuild: false,
-            index: DeltaIndex::new(),
             estimates: EstimateCache::new(),
         }
     }
@@ -59,42 +58,31 @@ impl CarbyneLike {
     }
 
     /// Phase 1 on one job: pushes the critical (max-height) ready stage's
-    /// tasks and returns the donated leftovers, if any. With a budget,
-    /// pushes are class-aware (dispatch-invariant truncation).
-    fn fair_phase<'a>(
-        p: &mut Preference,
-        job: &'a JobRt,
-        budget: Option<Budget>,
-    ) -> Option<(&'a JobRt, ReadyTasks)> {
-        let heights = visible_heights(job);
+    /// tasks and returns the donated leftovers, if any.
+    fn fair_phase(p: &mut Preference, job: &JobRt, budget: Budget) -> Option<ReadyTasks> {
         let mut ready = job.ready_stage_ids().to_vec();
+        // Heights only for jobs with ready work: computing them for every
+        // job first made a 3,000-job run about 10× slower.
         if ready.is_empty() {
             return None;
         }
+        let heights = visible_heights(job);
         // Critical stage = max height (ties: lowest id).
         ready.sort_by_key(|s| (std::cmp::Reverse(heights.get(s).copied().unwrap_or(0)), *s));
-        let critical = ready[0];
-        match budget {
-            Some(b) => b.push_stage(p, job, critical),
-            None => {
-                for t in job.unstarted_tasks(critical) {
-                    push_ref(p, job, critical, t);
-                }
-            }
-        }
+        budget.push_stage(p, job, ready[0]);
         // Everything else is donated to the leftover pool.
-        let rest: Vec<(StageId, u32)> = ready[1..]
+        let rest: ReadyTasks = ready[1..]
             .iter()
             .flat_map(|&s| job.unstarted_tasks(s).map(move |t| (s, t)))
             .collect();
-        (!rest.is_empty()).then_some((job, rest))
+        (!rest.is_empty()).then_some(rest)
     }
 
     /// Phase 2: redistributes leftovers, shortest-remaining job first.
     fn leftover_phase(
         p: &mut Preference,
         mut leftovers: Vec<(f64, &JobRt, ReadyTasks)>,
-        budget: Option<Budget>,
+        budget: Budget,
     ) {
         leftovers.sort_by(|a, b| {
             a.0.partial_cmp(&b.0)
@@ -102,32 +90,13 @@ impl CarbyneLike {
                 .then_with(|| (a.1.arrival(), a.1.id()).cmp(&(b.1.arrival(), b.1.id())))
         });
         for (_, job, tasks) in leftovers {
-            if budget.is_some_and(|b| b.met(p)) {
+            if budget.met(p) {
                 break;
             }
             for (s, t) in tasks {
-                match budget {
-                    Some(b) => b.push_task(p, job, s, t),
-                    None => push_ref(p, job, s, t),
-                }
+                budget.push_task(p, job, s, t);
             }
         }
-    }
-}
-
-fn push_ref(p: &mut Preference, job: &JobRt, stage: StageId, task: u32) {
-    let Some(view) = job.stage_view(stage) else {
-        return;
-    };
-    let r = TaskRef {
-        job: job.id(),
-        stage,
-        task,
-    };
-    match view.kind {
-        llmsched_dag::job::StageKind::Llm => p.llm.push(r),
-        llmsched_dag::job::StageKind::Regular => p.regular.push(r),
-        llmsched_dag::job::StageKind::DynamicPlaceholder => {}
     }
 }
 
@@ -137,20 +106,12 @@ impl Scheduler for CarbyneLike {
     }
 
     fn on_delta(&mut self, d: &SchedDelta) {
-        if self.rebuild {
-            return;
+        if !self.rebuild {
+            self.estimates.on_delta(d);
         }
-        self.index.on_delta(d, |d| {
-            matches!(
-                d,
-                SchedDelta::TasksDispatched { .. } | SchedDelta::TasksFinished { .. }
-            )
-        });
-        self.estimates.on_delta(d);
     }
 
     fn reset(&mut self) {
-        self.index.clear();
         self.estimates.clear();
     }
 
@@ -169,40 +130,34 @@ impl Scheduler for CarbyneLike {
             // bit-identical.
             return Preference::new();
         }
+        let priors = &self.priors;
+        if !self.rebuild {
+            self.estimates
+                .refresh(ctx, |j| priors.remaining_estimate(j));
+        }
+        let remaining = |j: &JobRt| {
+            if self.rebuild {
+                priors.remaining_estimate(j)
+            } else {
+                self.estimates.get(j.id())
+            }
+        };
+        let budget = Budget::for_call(ctx, self.rebuild);
         let mut p = Preference::new();
 
         // Phase 1: fair share of critical work. For each job (least served
         // first) offer the ready stage with the greatest height — the one
         // whose delay would stretch the job's critical path.
-        if self.rebuild {
-            let mut jobs: Vec<&JobRt> = ctx.jobs.iter().collect();
-            jobs.sort_by_key(|j| (j.running_tasks(), j.arrival(), j.id()));
-            let mut leftovers: Vec<(f64, &JobRt, ReadyTasks)> = Vec::new();
-            for job in jobs {
-                if let Some((job, rest)) = Self::fair_phase(&mut p, job, None) {
-                    leftovers.push((self.priors.remaining_estimate(job), job, rest));
-                }
+        let mut leftovers: Vec<(f64, &JobRt, ReadyTasks)> = Vec::new();
+        for job in sorted_jobs(ctx, |j| (j.running_tasks(), j.arrival())) {
+            if budget.met(&p) {
+                break;
             }
-            Self::leftover_phase(&mut p, leftovers, None);
-        } else {
-            self.index
-                .refresh(ctx, |j| (j.running_tasks(), j.arrival()));
-            let priors = &self.priors;
-            self.estimates
-                .refresh(ctx, |j| priors.remaining_estimate(j));
-            let budget = Budget::of(ctx);
-            let mut leftovers: Vec<(f64, &JobRt, ReadyTasks)> = Vec::new();
-            for id in self.index.jobs().ids() {
-                if budget.met(&p) {
-                    break;
-                }
-                let Some(job) = ctx.job(id) else { continue };
-                if let Some((job, rest)) = Self::fair_phase(&mut p, job, Some(budget)) {
-                    leftovers.push((self.estimates.get(id), job, rest));
-                }
+            if let Some(rest) = Self::fair_phase(&mut p, job, budget) {
+                leftovers.push((remaining(job), job, rest));
             }
-            Self::leftover_phase(&mut p, leftovers, Some(budget));
         }
+        Self::leftover_phase(&mut p, leftovers, budget);
         p
     }
 }
@@ -219,6 +174,32 @@ mod tests {
         let r = run_two_class_workload(&mut CarbyneLike::new(priors));
         assert_eq!(r.incomplete, 0);
         assert_eq!(r.scheduler, "Carbyne");
+    }
+
+    #[test]
+    fn critical_stages_first_then_shortest_remaining_leftovers() {
+        // Job 1 (a 3 s-per-stage app) arrived before job 0 (a 1 s app).
+        // Each job's critical stage is `head` (stage 1); `lone` (stage 0)
+        // is its leftover.
+        use crate::testkit::{fork_job, fork_template, schedule_once};
+        let (long, short) = (fork_template(0), fork_template(1));
+        let training = [
+            fork_job(&long, 100, 0.0, 3.0),
+            fork_job(&short, 101, 0.0, 1.0),
+        ];
+        let priors = AppPriors::from_training(&training, SimDuration::from_millis(20));
+        let jobs = [
+            JobRt::new(fork_job(&short, 0, 0.1, 1.0)),
+            JobRt::new(fork_job(&long, 1, 0.0, 3.0)),
+        ];
+        for mut carbyne in [
+            CarbyneLike::new(priors.clone()),
+            CarbyneLike::rebuild(priors.clone()),
+        ] {
+            let p = schedule_once(&mut carbyne, &jobs);
+            let order: Vec<(u64, u32)> = p.regular.iter().map(|r| (r.job.0, r.stage.0)).collect();
+            assert_eq!(order, [(1, 1), (0, 1), (0, 0), (1, 0)]);
+        }
     }
 
     #[test]

@@ -19,10 +19,11 @@ use crate::util::AppPriors;
 
 /// The Decima-like single-stage dispatcher.
 ///
-/// Incremental by default: remaining-work estimates live in a persistent
-/// [`EstimateCache`] recomputed only for jobs whose stages completed. The
-/// selection itself stays the original tolerance-based fold over the
-/// context's job list — its ε-comparisons are order-dependent, so any
+/// Remaining-work estimates live in a persistent [`EstimateCache`]
+/// recomputed only for jobs whose stages completed; the `::rebuild()`
+/// reference recomputes every estimate on every call, which is several
+/// times slower. The selection itself is one tolerance-based fold over
+/// the context's job list — its ε-comparisons are order-dependent, so any
 /// reordering (e.g. an exact-min heap) would change tie outcomes and break
 /// schedule bit-identity with the rebuild reference.
 #[derive(Debug)]
@@ -33,7 +34,7 @@ pub struct DecimaLike {
 }
 
 impl DecimaLike {
-    /// Builds the incremental policy with historical priors (Decima trains
+    /// Builds the cached policy with historical priors (Decima trains
     /// on the same four workload types; the priors are its learned duration
     /// knowledge).
     pub fn new(priors: AppPriors) -> Self {

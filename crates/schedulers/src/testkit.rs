@@ -8,7 +8,8 @@ use llmsched_dag::prelude::*;
 use llmsched_sim::engine::{simulate, ClusterConfig};
 use llmsched_sim::latency::LatencyProfile;
 use llmsched_sim::metrics::SimResult;
-use llmsched_sim::scheduler::Scheduler;
+use llmsched_sim::scheduler::{ActiveJobs, Preference, SchedContext, Scheduler};
+use llmsched_sim::state::JobRt;
 
 /// App 0: a short job — one 50-token LLM stage then a 0.2 s regular stage.
 /// App 1: a long job — one 500-token LLM stage then a 1 s regular stage.
@@ -105,6 +106,67 @@ pub fn assert_same_schedule(a: &mut dyn Scheduler, b: &mut dyn Scheduler) {
         v
     };
     assert_eq!(key(&ra), key(&rb), "{}: completions diverged", a.name());
+}
+
+/// A three-stage all-regular template: `lone` is a root with no
+/// children, and `head → tail` is a two-stage chain, so `head` is the
+/// deeper of the two ready roots.
+pub fn fork_template(app: u32) -> Template {
+    let mut b = TemplateBuilder::new(AppId(app), "fork");
+    b.regular("lone");
+    let head = b.regular("head");
+    let tail = b.regular("tail");
+    b.edge(head, tail);
+    b.build().unwrap()
+}
+
+/// A job of [`fork_template`]: one task of `secs` seconds per stage.
+pub fn fork_job(template: &Template, id: u64, arrival: f64, secs: f64) -> JobSpec {
+    let stage = |name: &str| {
+        StageSpec::executing(
+            name,
+            StageKind::Regular,
+            vec![TaskWork::Regular {
+                duration: SimDuration::from_secs_f64(secs),
+            }],
+        )
+    };
+    JobSpec::new(
+        JobId(id),
+        template,
+        SimTime::from_secs_f64(arrival),
+        vec![stage("lone"), stage("head"), stage("tail")],
+        vec![],
+    )
+    .unwrap()
+}
+
+/// Calls `sched.schedule` once on a hand-built context over `jobs`
+/// (ascending `JobId`) with more free regular executors than ready
+/// tasks, so a budgeted policy emits its whole order.
+pub fn schedule_once(sched: &mut dyn Scheduler, jobs: &[JobRt]) -> Preference {
+    let templates: TemplateSet = std::iter::empty().collect();
+    let latency = LatencyProfile::default();
+    let (regular, llm) = jobs.iter().fold((0, 0), |(r, l), j| {
+        let (jr, jl) = j.ready_unstarted_by_class();
+        (r + jr, l + jl)
+    });
+    let ctx = SchedContext {
+        now: SimTime::ZERO,
+        jobs: ActiveJobs::dense(jobs),
+        llm_executors: &[],
+        backend: "analytic",
+        regular_total: regular + 1,
+        regular_busy: 0,
+        dispatchable: regular + llm,
+        dispatchable_regular: regular,
+        dispatchable_llm: llm,
+        could_dispatch: true,
+        templates: &templates,
+        latency: &latency,
+    };
+    sched.reset();
+    sched.schedule(&ctx)
 }
 
 #[cfg(test)]

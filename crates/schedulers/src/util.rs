@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use llmsched_dag::ids::{AppId, StageId};
+use llmsched_dag::ids::{AppId, JobId, StageId};
 use llmsched_dag::job::{JobSpec, StageKind};
 use llmsched_dag::time::SimDuration;
 use llmsched_sim::scheduler::{Preference, SchedContext, TaskRef};
@@ -22,11 +22,12 @@ pub(crate) type ReadyTasks = Vec<(StageId, u32)>;
 ///
 /// The engine starts at most `regular_free()` regular tasks and
 /// `llm_free_slots()` LLM tasks from the front of each preference list,
-/// and every entry an incremental policy emits is startable at dispatch
-/// time — so once a class's list covers its budget, further entries for
-/// that class can never start and may be skipped without changing the
-/// schedule. The equivalence tests pin this against the unbounded rebuild
-/// paths.
+/// and every entry a policy emits is startable at dispatch time — so once
+/// a class's list covers its budget, further entries for that class can
+/// never start and may be skipped without changing the schedule. Each
+/// baseline has one `schedule` body; its `::rebuild()` reference runs
+/// that body under [`Budget::unbounded`], and the equivalence tests pin
+/// the two emissions to the same schedule.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Budget {
     reg: usize,
@@ -42,57 +43,85 @@ impl Budget {
         }
     }
 
+    /// No bound: every entry is emitted.
+    pub fn unbounded() -> Budget {
+        Budget {
+            reg: usize::MAX,
+            llm: usize::MAX,
+        }
+    }
+
+    /// The budget of one `schedule` call: [`Budget::unbounded`] for a
+    /// `::rebuild()` reference, else [`Budget::of`].
+    pub fn for_call(ctx: &SchedContext<'_>, rebuild: bool) -> Budget {
+        if rebuild {
+            Budget::unbounded()
+        } else {
+            Budget::of(ctx)
+        }
+    }
+
     /// True once both lists cover their budgets — emission may stop.
     pub fn met(&self, p: &Preference) -> bool {
         p.regular.len() >= self.reg && p.llm.len() >= self.llm
     }
 
-    /// True if the class-appropriate list still has room for `stage`'s
-    /// tasks.
-    fn wants(&self, p: &Preference, kind: StageKind) -> bool {
-        match kind {
-            StageKind::Regular => p.regular.len() < self.reg,
-            StageKind::Llm => p.llm.len() < self.llm,
-            StageKind::DynamicPlaceholder => false,
+    /// True if `stage` is visible and its class list still has room.
+    fn wants(&self, p: &Preference, job: &JobRt, stage: StageId) -> bool {
+        match job.visible_kind(stage) {
+            Some(StageKind::Regular) => p.regular.len() < self.reg,
+            Some(StageKind::Llm) => p.llm.len() < self.llm,
+            Some(StageKind::DynamicPlaceholder) | None => false,
         }
     }
 
     /// Pushes all unstarted tasks of `stage` unless its class budget is
     /// already covered.
     pub fn push_stage(&self, p: &mut Preference, job: &JobRt, stage: StageId) {
-        let Some(view) = job.stage_view(stage) else {
-            return;
-        };
-        if self.wants(p, view.kind) {
+        if self.wants(p, job, stage) {
             p.push_stage_tasks(job, stage);
         }
     }
 
-    /// Pushes every ready stage of `job`, class-budget-aware.
-    pub fn push_all_ready(&self, p: &mut Preference, job: &JobRt) {
-        for &s in job.ready_stage_ids() {
-            self.push_stage(p, job, s);
+    /// Pushes every ready stage of each job in turn, stopping once the
+    /// budget is met.
+    pub fn push_jobs<'a>(&self, p: &mut Preference, jobs: impl IntoIterator<Item = &'a JobRt>) {
+        for job in jobs {
+            if self.met(p) {
+                break;
+            }
+            for &s in job.ready_stage_ids() {
+                self.push_stage(p, job, s);
+            }
         }
     }
 
     /// Pushes one task reference if its class budget still has room.
     pub fn push_task(&self, p: &mut Preference, job: &JobRt, stage: StageId, task: u32) {
-        let Some(view) = job.stage_view(stage) else {
-            return;
+        let list = match job.visible_kind(stage) {
+            Some(StageKind::Regular) if p.regular.len() < self.reg => &mut p.regular,
+            Some(StageKind::Llm) if p.llm.len() < self.llm => &mut p.llm,
+            _ => return,
         };
-        if self.wants(p, view.kind) {
-            let r = TaskRef {
-                job: job.id(),
-                stage,
-                task,
-            };
-            match view.kind {
-                StageKind::Llm => p.llm.push(r),
-                StageKind::Regular => p.regular.push(r),
-                StageKind::DynamicPlaceholder => {}
-            }
-        }
+        list.push(TaskRef {
+            job: job.id(),
+            stage,
+            task,
+        });
     }
+}
+
+/// The context's jobs in ascending `(key, JobId)` order. Each key is
+/// computed once per job, not once per comparison: keys such as
+/// [`JobRt::running_tasks`] cost O(stages).
+pub(crate) fn sorted_jobs<'a, K: Ord + Copy>(
+    ctx: &SchedContext<'a>,
+    key: impl Fn(&JobRt) -> K,
+) -> impl Iterator<Item = &'a JobRt> {
+    let mut jobs: Vec<((K, JobId), &'a JobRt)> =
+        ctx.jobs.iter().map(|j| ((key(j), j.id()), j)).collect();
+    jobs.sort_unstable_by_key(|&(k, _)| k);
+    jobs.into_iter().map(|(_, j)| j)
 }
 
 /// Historical per-application statistics (static prior knowledge).

@@ -1,21 +1,34 @@
-//! Incremental-scheduling toolkit: delta-maintained ordered job indices
-//! and estimate caches shared by every policy that keeps persistent state
-//! across scheduler invocations.
+//! Incremental-scheduling toolkit: a delta-maintained ordered job index
+//! and an estimate cache, for policies whose per-call cost they measurably
+//! cut.
 //!
 //! The pieces compose into one pattern (see `DESIGN.md` §7):
 //!
 //! 1. [`Scheduler::on_delta`](crate::scheduler::Scheduler::on_delta) marks
-//!    jobs whose sort key may have changed (and removes completed jobs);
-//! 2. at the top of `schedule`, the policy *refreshes* the index — only
-//!    dirty jobs have their keys recomputed and repositioned
-//!    (O(changes · log n) instead of an O(n log n) full sort);
-//! 3. the policy then iterates the index in key order, exactly as the old
-//!    rebuild path iterated its freshly sorted vector.
+//!    jobs whose key may have changed (and removes completed jobs);
+//! 2. at the top of `schedule`, the policy *refreshes* the structure —
+//!    only dirty jobs have their keys recomputed (and, for an index,
+//!    repositioned: O(changes · log n) instead of an O(n log n) sort);
+//! 3. the policy then reads keys or iterates the index in key order.
 //!
-//! A count-mismatch safety net (`refresh` compares index size against the
-//! context's job count) rebuilds the whole index when a context was built
-//! outside the engine's delta stream (hand-built test contexts, wrappers
-//! that forget to forward `on_delta` after a membership change).
+//! Users, and the measurement that keeps each (Mixed mix, analytic
+//! backend, seed 7, 300 jobs at λ = 0.9 on the default cluster and
+//! 3,000 jobs at λ = 24 on a 48× cluster, 2-hardware-thread host):
+//!
+//! * [`DeltaIndex`]: SJF and SRTF, whose keys rarely move. Sorting per
+//!   call instead made SJF 1.5–1.6× slower, and SRTF, which then also
+//!   recomputes every remaining-work estimate, 4.3–5.9× slower. FCFS,
+//!   Fair, Argus and Carbyne sort per call: for them the index was no
+//!   faster than the sort.
+//! * [`EstimateCache`]: Decima and Carbyne, whose remaining-work estimate
+//!   walks a job's whole template. Uncached, Decima is 8.5× slower at
+//!   300 jobs.
+//! * [`OrderedJobs`]: LLMSched's SRTF order and interval index.
+//!
+//! A count-mismatch safety net (`refresh` compares the structure's size
+//! against the context's job count) rebuilds it whole when a context was
+//! built outside the engine's delta stream (hand-built test contexts,
+//! wrappers that forget to forward `on_delta` after a membership change).
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -167,9 +180,8 @@ impl<K: Ord + Copy> DeltaIndex<K> {
     /// (dropping any that are no longer active), then falls back to a full
     /// rebuild if the index does not cover exactly the context's jobs —
     /// the safety net for contexts built outside the engine's delta
-    /// stream. Returns `true` when that safety net fired, so policies can
-    /// invalidate any sibling caches that rely on the same delta stream.
-    pub fn refresh(&mut self, ctx: &SchedContext<'_>, mut key: impl FnMut(&JobRt) -> K) -> bool {
+    /// stream.
+    pub fn refresh(&mut self, ctx: &SchedContext<'_>, mut key: impl FnMut(&JobRt) -> K) {
         for id in std::mem::take(&mut self.dirty) {
             match ctx.job(id) {
                 Some(job) => self.jobs.upsert(id, key(job)),
@@ -181,9 +193,7 @@ impl<K: Ord + Copy> DeltaIndex<K> {
             for job in &ctx.jobs {
                 self.jobs.upsert(job.id(), key(job));
             }
-            return true;
         }
-        false
     }
 
     /// The synchronized ordered index (call [`DeltaIndex::refresh`] first).
