@@ -5,7 +5,11 @@
 //! variables. Values are stored row-major with the **last** variable varying
 //! fastest. Networks in this project are tiny (≤ ~12 variables of
 //! cardinality ≤ 7), so exact variable elimination is cheap and fully
-//! deterministic.
+//! deterministic. [`eliminate_to_joint`] answers one query;
+//! [`eliminate_marginals`] answers every single-variable query of one pool
+//! with the elimination prefix they share run once, bit-identically.
+
+use std::borrow::Cow;
 
 /// A table over a sorted list of discrete variables.
 #[derive(Debug, Clone, PartialEq)]
@@ -303,6 +307,67 @@ impl Factor {
     }
 }
 
+/// A working elimination pool: borrowed input factors plus the owned
+/// intermediate results of the eliminations run so far.
+type Pool<'a> = Vec<Cow<'a, Factor>>;
+
+/// The ascending, deduplicated variables of `factors`.
+fn scope_of(factors: &[Factor]) -> Vec<usize> {
+    let mut vars: Vec<usize> = factors
+        .iter()
+        .flat_map(|f| f.vars().iter().copied())
+        .collect();
+    vars.sort_unstable();
+    vars.dedup();
+    vars
+}
+
+/// One elimination step, shared by every entry point: multiplies all
+/// factors mentioning `var` (in pool order), sums `var` out and appends
+/// the result; factors without `var` keep their relative order.
+///
+/// The product starts from the first such factor itself rather than from
+/// [`Factor::unit`]: multiplying by 1.0 is exact, so the values are the
+/// same bits without the copy.
+fn eliminate_var(pool: &mut Pool<'_>, var: usize) {
+    let mut merged: Option<Cow<'_, Factor>> = None;
+    let mut i = 0;
+    while i < pool.len() {
+        if pool[i].vars().contains(&var) {
+            let f = pool.remove(i);
+            merged = Some(match merged {
+                None => f,
+                Some(m) => Cow::Owned(m.product(&f)),
+            });
+        } else {
+            i += 1;
+        }
+    }
+    if let Some(m) = merged {
+        pool.push(Cow::Owned(m.sum_out(var)));
+    }
+}
+
+/// Multiplies what is left of `pool` into the normalized joint over
+/// `targets` (starting from the first factor, as in [`eliminate_var`]).
+fn joint_of(pool: &[Cow<'_, Factor>], targets: &[usize]) -> Factor {
+    let mut rest = pool.iter();
+    let mut joint = rest
+        .next()
+        .map_or_else(Factor::unit, |f| f.clone().into_owned());
+    for f in rest {
+        joint = joint.product(f);
+    }
+    // Present in canonical target order (ascending is automatic).
+    let mut joint = if joint.vars() == targets {
+        joint
+    } else {
+        joint.marginalize_to(targets)
+    };
+    joint.normalize();
+    joint
+}
+
 /// Exact variable elimination.
 ///
 /// Multiplies `factors` (each already reduced by evidence), eliminates every
@@ -312,58 +377,70 @@ impl Factor {
 /// # Panics
 /// Panics if a target variable does not appear in any factor.
 pub fn eliminate_to_joint(factors: &[Factor], targets: &[usize]) -> Factor {
-    // Input factors are only ever *read* (products take references), so
-    // the working pool borrows them and owns nothing but the intermediate
-    // elimination results — the old `to_vec()` clone of every input table
-    // was pure allocator churn on the scheduler's posterior hot path.
-    let mut pool: Vec<std::borrow::Cow<'_, Factor>> =
-        factors.iter().map(std::borrow::Cow::Borrowed).collect();
-    let mut all_vars: Vec<usize> = Vec::new();
-    for f in &pool {
-        for &v in f.vars() {
-            if !all_vars.contains(&v) {
-                all_vars.push(v);
-            }
-        }
-    }
+    // The working pool borrows the inputs (products only read them) and
+    // owns nothing but the intermediate elimination results.
+    let mut pool: Pool<'_> = factors.iter().map(Cow::Borrowed).collect();
+    let scope = scope_of(factors);
     for t in targets {
-        assert!(
-            all_vars.contains(t),
-            "target variable {t} not in any factor"
-        );
+        assert!(scope.contains(t), "target variable {t} not in any factor");
     }
-    all_vars.sort_unstable();
-    for v in all_vars {
-        if targets.contains(&v) {
-            continue;
-        }
-        // Multiply all factors mentioning v, sum v out, put the result
-        // back (in the exact pool order the cloning version used).
-        let mut merged: Option<Factor> = None;
-        let mut kept = Vec::with_capacity(pool.len());
-        for f in pool {
-            if f.vars().contains(&v) {
-                merged = Some(match merged {
-                    None => Factor::unit().product(&f),
-                    Some(m) => m.product(&f),
-                });
-            } else {
-                kept.push(f);
-            }
-        }
-        pool = kept;
-        if let Some(m) = merged {
-            pool.push(std::borrow::Cow::Owned(m.sum_out(v)));
+    for v in scope {
+        if !targets.contains(&v) {
+            eliminate_var(&mut pool, v);
         }
     }
-    let mut joint = Factor::unit();
-    for f in &pool {
-        joint = joint.product(f);
+    joint_of(&pool, targets)
+}
+
+/// Every single-variable posterior [`eliminate_to_joint`] would return for
+/// `targets`, one `eliminate_to_joint(factors, &[t])` per target, with
+/// the shared eliminations run once.
+///
+/// Elimination runs in ascending variable order and skips only the
+/// target, so the pool after eliminating every variable below `t` is the
+/// same for all targets `≥ t`. This walks the targets in ascending order,
+/// advancing one shared prefix pool, and resumes each target from a
+/// borrowed snapshot of it. Each target sees exactly the operations, in
+/// exactly the order, that its own `eliminate_to_joint` call runs, so the
+/// results are bit-identical.
+///
+/// Returns the joints in `targets` order and the number of variable
+/// eliminations run (per-target elimination would run `|scope| - 1` per
+/// target).
+///
+/// # Panics
+/// Panics if a target variable does not appear in any factor.
+pub fn eliminate_marginals(factors: &[Factor], targets: &[usize]) -> (Vec<Factor>, u64) {
+    let scope = scope_of(factors);
+    let mut order: Vec<usize> = (0..targets.len()).collect();
+    order.sort_by_key(|&i| targets[i]);
+    let mut prefix: Pool<'_> = factors.iter().map(Cow::Borrowed).collect();
+    // `scope[..done]` is eliminated in `prefix`.
+    let mut done = 0;
+    let mut eliminations = 0;
+    let mut joints: Vec<Option<Factor>> = vec![None; targets.len()];
+    for i in order {
+        let t = targets[i];
+        let at = scope
+            .binary_search(&t)
+            .unwrap_or_else(|_| panic!("target variable {t} not in any factor"));
+        for &v in &scope[done..at] {
+            eliminate_var(&mut prefix, v);
+            eliminations += 1;
+        }
+        done = at;
+        let mut pool: Pool<'_> = prefix.iter().map(|f| Cow::Borrowed(&**f)).collect();
+        for &v in &scope[at + 1..] {
+            eliminate_var(&mut pool, v);
+            eliminations += 1;
+        }
+        joints[i] = Some(joint_of(&pool, &[t]));
     }
-    // Present in canonical target order (ascending is automatic).
-    let mut joint = joint.marginalize_to(targets);
-    joint.normalize();
-    joint
+    let joints = joints
+        .into_iter()
+        .map(|j| j.expect("every target visited"))
+        .collect();
+    (joints, eliminations)
 }
 
 #[cfg(test)]
@@ -463,6 +540,108 @@ mod tests {
         let j = eliminate_to_joint(&factors, &[0, 1]);
         assert_eq!(j.vars(), &[0, 1]);
         assert!((j.at(&[1, 1]) - 0.54).abs() < 1e-12);
+    }
+
+    /// A seeded random network over `card.len()` variables: one factor per
+    /// variable over itself and its `parents`, with positive random
+    /// entries, reduced by `evidence` the way `BayesNet::reduced_cpts`
+    /// reduces CPTs.
+    fn random_pool(
+        seed: u64,
+        card: &[usize],
+        parents: &[Vec<usize>],
+        evidence: &[(usize, usize)],
+    ) -> Vec<Factor> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..card.len())
+            .map(|v| {
+                let mut vars = parents[v].clone();
+                vars.push(v);
+                vars.sort_unstable();
+                let cards: Vec<usize> = vars.iter().map(|&u| card[u]).collect();
+                let size = cards.iter().product();
+                let values = (0..size).map(|_| 0.05 + rng.gen::<f64>()).collect();
+                let mut f = Factor::new(vars, cards, values);
+                for &(var, val) in evidence {
+                    if f.vars().contains(&var) {
+                        f = f.reduce(var, val);
+                    }
+                }
+                f
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_prefix_marginals_are_bit_identical_to_per_target_elimination() {
+        let n = 6;
+        let chain: Vec<Vec<usize>> = (0..n)
+            .map(|v| if v == 0 { vec![] } else { vec![v - 1] })
+            .collect();
+        let fan_in: Vec<Vec<usize>> = (0..n)
+            .map(|v| if v == n - 1 { (0..v).collect() } else { vec![] })
+            .collect();
+        let fan_out: Vec<Vec<usize>> = (0..n)
+            .map(|v| if v == 0 { vec![] } else { vec![0] })
+            .collect();
+        let card = [3, 2, 4, 3, 2, 3];
+        let some = [(1, 1), (3, 2)];
+        let all_but_one = [(0, 2), (1, 0), (2, 3), (4, 1), (5, 0)];
+        let mut cases = 0;
+        for (shape, parents) in [
+            ("chain", &chain),
+            ("fan-in", &fan_in),
+            ("fan-out", &fan_out),
+        ] {
+            for evidence in [&[][..], &some[..], &all_but_one[..]] {
+                for seed in 0..4 {
+                    let pool = random_pool(seed, &card, parents, evidence);
+                    let targets: Vec<usize> = (0..n)
+                        .filter(|v| evidence.iter().all(|&(e, _)| e != *v))
+                        .collect();
+                    let (joints, eliminations) = eliminate_marginals(&pool, &targets);
+                    assert_eq!(joints.len(), targets.len());
+                    for (&t, joint) in targets.iter().zip(&joints) {
+                        let want = eliminate_to_joint(&pool, &[t]);
+                        assert_eq!(joint.vars(), want.vars(), "{shape} seed {seed} var {t}");
+                        let bits = |f: &Factor| -> Vec<u64> {
+                            f.values().iter().map(|v| v.to_bits()).collect()
+                        };
+                        assert_eq!(bits(joint), bits(&want), "{shape} seed {seed} var {t}");
+                    }
+                    // The prefix is shared: at most the per-target count,
+                    // strictly fewer once two targets share a prefix.
+                    let u = targets.len() as u64;
+                    let per_target = u * u.saturating_sub(1);
+                    assert!(eliminations <= per_target, "{shape}: {eliminations}");
+                    if u > 2 {
+                        assert!(eliminations < per_target, "{shape}: {eliminations}");
+                    }
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 36);
+
+        // A single variable, and targets in any order (duplicates too):
+        // results come back in `targets` order.
+        let single = random_pool(9, &[4], &[vec![]], &[]);
+        let (j, e) = eliminate_marginals(&single, &[0]);
+        assert_eq!(j, vec![eliminate_to_joint(&single, &[0])]);
+        assert_eq!(e, 0);
+        let pool = random_pool(5, &card, &chain, &[]);
+        let (j, _) = eliminate_marginals(&pool, &[4, 1, 4, 0]);
+        for (joint, t) in j.iter().zip([4, 1, 4, 0]) {
+            assert_eq!(joint, &eliminate_to_joint(&pool, &[t]));
+        }
+        assert!(eliminate_marginals(&pool, &[]).0.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "not in any factor")]
+    fn shared_prefix_rejects_unknown_targets() {
+        let _ = eliminate_marginals(&[pa()], &[0, 3]);
     }
 
     #[test]

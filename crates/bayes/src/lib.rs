@@ -65,7 +65,7 @@ pub mod structure;
 pub mod prelude {
     pub use crate::dataset::{DiscreteData, DiscreteDataError};
     pub use crate::discretize::Discretizer;
-    pub use crate::factor::{eliminate_to_joint, Factor};
+    pub use crate::factor::{eliminate_marginals, eliminate_to_joint, Factor};
     pub use crate::info::{binary_entropy, entropy, mutual_information};
     pub use crate::network::{BayesNet, BayesNetError, Evidence};
     pub use crate::online::{OnlineNet, OnlineNetConfig, SuffStats};

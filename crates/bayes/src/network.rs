@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use crate::dataset::DiscreteData;
-use crate::factor::{eliminate_to_joint, Factor};
+use crate::factor::{eliminate_marginals, eliminate_to_joint, Factor};
 
 /// Evidence: observed values for a subset of variables.
 pub type Evidence = BTreeMap<usize, usize>;
@@ -155,7 +155,7 @@ impl BayesNet {
     /// under *one* evidence state (the scheduler's per-evidence caches)
     /// can build this factor pool once and reuse it via
     /// [`BayesNet::posterior_joint_with`] /
-    /// [`BayesNet::posterior_marginal_with`] — the single-query entry
+    /// [`BayesNet::posterior_marginals_with`] — the single-query entry
     /// points delegate to the same code, so cached and uncached paths
     /// produce bit-identical values.
     pub fn reduced_cpts(&self, evidence: &Evidence) -> Vec<Factor> {
@@ -202,27 +202,58 @@ impl BayesNet {
     /// If `var` is itself observed, returns a point mass on the observed
     /// value (convenient for "remaining duration" scans over all stages).
     pub fn posterior_marginal(&self, var: usize, evidence: &Evidence) -> Vec<f64> {
-        if evidence.contains_key(&var) {
-            return self.posterior_marginal_with(&[], var, evidence);
-        }
-        self.posterior_marginal_with(&self.reduced_cpts(evidence), var, evidence)
+        let reduced = if evidence.contains_key(&var) {
+            Vec::new()
+        } else {
+            self.reduced_cpts(evidence)
+        };
+        let (mut marginals, _) = self.posterior_marginals_with(&reduced, &[var], evidence);
+        marginals.pop().expect("one marginal per variable")
     }
 
-    /// [`BayesNet::posterior_marginal`] over a prebuilt
-    /// [`BayesNet::reduced_cpts`] pool (ignored for observed variables).
-    pub fn posterior_marginal_with(
+    /// [`BayesNet::posterior_marginal`] for each of `vars` (observed ones
+    /// as point masses) over a prebuilt [`BayesNet::reduced_cpts`] pool,
+    /// which must have been built from the same `evidence` (it is not read
+    /// for observed variables). The elimination prefix the unobserved
+    /// variables share runs once ([`eliminate_marginals`]): each marginal
+    /// is bit-identical to its own [`BayesNet::posterior_joint`] query, at
+    /// one half to two thirds of the eliminations. Also returns the number
+    /// of variable eliminations run.
+    ///
+    /// # Panics
+    /// Panics if a variable is out of range.
+    pub fn posterior_marginals_with(
         &self,
         reduced: &[Factor],
-        var: usize,
+        vars: &[usize],
         evidence: &Evidence,
-    ) -> Vec<f64> {
-        if let Some(&val) = evidence.get(&var) {
-            let mut p = vec![0.0; self.card[var]];
-            p[val] = 1.0;
-            return p;
+    ) -> (Vec<Vec<f64>>, u64) {
+        let targets: Vec<usize> = vars
+            .iter()
+            .copied()
+            .filter(|v| !evidence.contains_key(v))
+            .collect();
+        for t in &targets {
+            assert!(*t < self.n_vars(), "target {t} out of range");
         }
-        let f = self.posterior_joint_with(reduced, &[var], evidence);
-        f.values().to_vec()
+        let (joints, eliminations) = eliminate_marginals(reduced, &targets);
+        let mut joints = joints.into_iter();
+        let marginals = vars
+            .iter()
+            .map(|v| match evidence.get(v) {
+                Some(&val) => {
+                    let mut p = vec![0.0; self.card[*v]];
+                    p[val] = 1.0;
+                    p
+                }
+                None => joints
+                    .next()
+                    .expect("one joint per target")
+                    .values()
+                    .to_vec(),
+            })
+            .collect();
+        (marginals, eliminations)
     }
 
     /// Ancestral sample of all variables.

@@ -26,7 +26,18 @@
 //! clone)) to O(changed jobs · posterior), while producing bit-identical
 //! values to the rebuild path: the same estimator functions run on the
 //! same inputs, just not redundantly.
+//!
+//! A posterior build itself ([`EvidencePosteriors::build`]) needs every
+//! unobserved stage's marginal. Variable elimination runs in ascending
+//! variable order and skips only its target, so all targets above `t`
+//! share the pool left after eliminating everything below `t`: the build
+//! eliminates that shared prefix once and resumes each target from it
+//! ([`llmsched_bayes::factor::eliminate_marginals`]), the same operations
+//! in the same order per target, hence the same bits.
+//! [`LlmSched::stats`](crate::scheduler::LlmSched::stats) reports the
+//! store's counts of builds, eliminations and Eq. 6 memo misses.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 
 use llmsched_bayes::network::Evidence;
@@ -80,6 +91,18 @@ pub struct JobBelief {
     shared: Option<Rc<EvidencePosteriors>>,
 }
 
+/// Work counters of a [`BeliefStore`] since it was last cleared.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct BeliefStats {
+    /// Posterior states built ([`EvidencePosteriors::build`] calls, one
+    /// per new `(application, version, evidence)`).
+    pub(crate) posterior_builds: u64,
+    /// Variable eliminations those builds ran.
+    pub(crate) vars_eliminated: u64,
+    /// Eq. 6 MI terms computed because the shared memo missed.
+    pub(crate) mi_misses: u64,
+}
+
 /// Delta-maintained [`JobBelief`] records for every active job.
 #[derive(Debug, Clone, Default)]
 pub struct BeliefStore {
@@ -95,6 +118,9 @@ pub struct BeliefStore {
     /// single no-evidence entry. A snapshot bump drops exactly that app's
     /// entries.
     bands: HashMap<AppId, AppBands>,
+    /// Work counters; a `Cell` because scoring counts memo misses through
+    /// `&self`.
+    stats: Cell<BeliefStats>,
 }
 
 impl BeliefStore {
@@ -119,6 +145,12 @@ impl BeliefStore {
         self.dirty.clear();
         self.by_app.clear();
         self.bands.clear();
+        self.stats.set(BeliefStats::default());
+    }
+
+    /// Work counters since the store was last cleared.
+    pub(crate) fn stats(&self) -> BeliefStats {
+        self.stats.get()
     }
 
     /// Routes one delta: arrivals and stage completions mark the job's
@@ -237,10 +269,14 @@ impl BeliefStore {
             app_bands.by_evidence.clear();
         }
         let key: Vec<(usize, usize)> = evidence.iter().map(|(&s, &b)| (s, b)).collect();
+        let stats = &self.stats;
         let entry = app_bands.by_evidence.entry(key).or_insert_with(|| {
-            Rc::new(EvidencePosteriors::build(
-                profile, &evidence, use_bn, tail_mass,
-            ))
+            let ep = EvidencePosteriors::build(profile, &evidence, use_bn, tail_mass);
+            let mut s = stats.get();
+            s.posterior_builds += 1;
+            s.vars_eliminated += ep.eliminations;
+            stats.set(s);
+            Rc::new(ep)
         });
         let shared = Rc::clone(entry);
         let work = crate::estimator::remaining_work_from_bands(profile, job, &shared.bands);
@@ -307,6 +343,9 @@ impl BeliefStore {
                 mi_part(profile, job, stage, &b.evidence, mi)
             };
             ep.mi_memo_insert(stage.0, m);
+            let mut s = self.stats.get();
+            s.mi_misses += 1;
+            self.stats.set(s);
             m
         });
         add_dynamic_bonus(profile, job, stage, part)

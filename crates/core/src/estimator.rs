@@ -79,66 +79,29 @@ pub struct StageBand {
     pub hi: f64,
 }
 
-/// Per-stage posterior bands given `evidence` — the *job-independent*
-/// part of the remaining-work estimate. Pure in its arguments: every job
-/// of the same application under the same evidence shares this result,
-/// which is what lets [`BeliefStore`](crate::belief::BeliefStore) memoize
-/// the BN inference across jobs.
-///
-/// Stages present in `evidence` are completed (their bin is observed) and
-/// contribute nothing to *remaining* work: their slot holds a default
-/// band that [`remaining_work_from_bands`] never reads, as long as the
-/// evidence was extracted from the job being estimated
-/// ([`AppProfile::evidence_of`]).
-pub fn stage_bands(
-    profile: &AppProfile,
-    evidence: &Evidence,
-    use_bn: bool,
-    tail_mass: f64,
-) -> Vec<StageBand> {
-    let empty = Evidence::new();
-    let cond: &Evidence = if use_bn { evidence } else { &empty };
-    (0..profile.n_stages())
-        .map(|s| {
-            if evidence.contains_key(&s) {
-                return StageBand::default();
-            }
-            let disc = &profile.discretizers()[s];
-            // With the BN: condition on evidence. Without it (w/o-BN
-            // ablation): `cond` is empty, so the marginal is the training
-            // prior and the mean falls back to the historical average.
-            let p = profile.net().posterior_marginal(s, cond);
-            let (lo, hi) = disc.quantile_interval(&p, tail_mass);
-            let mean = if use_bn {
-                disc.expectation(&p)
-            } else {
-                profile.static_mean(StageId(s as u32))
-            };
-            StageBand { mean, lo, hi }
-        })
-        .collect()
-}
-
 /// Reusable posterior state of one `(application, evidence)` pair: the
 /// per-stage [`StageBand`]s plus — under the BN — the reduced-CPT factor
 /// pool and every stage's posterior marginal.
 ///
 /// Built once per evidence state and shared across jobs by the
 /// [`BeliefStore`](crate::belief::BeliefStore): Eq. 6 scoring re-queries
-/// the same marginals `stage_bands` already computed and re-reduces the
-/// same CPTs for every joint, so caching both here removes the dominant
-/// per-evidence inference cost. All cached values are produced by the
-/// exact computations the uncached entry points run
-/// ([`BayesNet::posterior_marginal_with`](llmsched_bayes::network::BayesNet::posterior_marginal_with)
-/// delegation), so cached and uncached paths are bit-identical.
+/// the same marginals the bands were built from and re-reduces the same
+/// CPTs for every joint, so caching both here removes the dominant
+/// per-evidence inference cost. The marginals come from one shared-prefix
+/// elimination pass ([`EvidencePosteriors::build`]); every value is
+/// bit-identical to what the uncached entry points
+/// ([`BayesNet::posterior_marginal`](llmsched_bayes::network::BayesNet::posterior_marginal))
+/// return.
 #[derive(Debug)]
 pub struct EvidencePosteriors {
-    /// Per-stage posterior bands (what [`stage_bands`] returns).
+    /// Per-stage posterior bands (default for observed stages).
     pub bands: Vec<StageBand>,
     /// BN-path cache; `None` for the w/o-BN ablation (whose bands come
     /// from the evidence-free prior and whose MI terms run full BN
     /// inference before landing in the same `mi` memo).
     pub(crate) cache: Option<PosteriorCache>,
+    /// Variable eliminations the build ran (a work counter).
+    pub(crate) eliminations: u64,
     /// Shared memo of Eq. 6 MI terms per stage — the scheduler's only
     /// score cache: the term is a pure function of
     /// `(application, evidence)` (see [`crate::uncertainty`]), so every
@@ -175,46 +138,63 @@ impl EvidencePosteriors {
     }
 
     /// Builds the posterior state for one evidence map.
+    ///
+    /// Stages present in `evidence` are completed (their bin is observed)
+    /// and contribute nothing to *remaining* work: their band is a default
+    /// that [`remaining_work_from_bands`] never reads, as long as the
+    /// evidence was extracted from the job being estimated
+    /// ([`AppProfile::evidence_of`]). With the BN the other bands come
+    /// from the posterior given `evidence`; without it (the w/o-BN
+    /// ablation) from the evidence-free training prior, with the
+    /// historical average as the mean.
+    ///
+    /// All marginals come from one [`BayesNet::posterior_marginals_with`]
+    /// pass: eliminations run in ascending variable order and skip only
+    /// the target, so the prefix every target shares is eliminated once
+    /// and each target resumes from it. Every marginal is bit-identical
+    /// to its own [`BayesNet::posterior_marginal`] query.
+    ///
+    /// [`BayesNet::posterior_marginals_with`]: llmsched_bayes::network::BayesNet::posterior_marginals_with
+    /// [`BayesNet::posterior_marginal`]: llmsched_bayes::network::BayesNet::posterior_marginal
     pub fn build(profile: &AppProfile, evidence: &Evidence, use_bn: bool, tail_mass: f64) -> Self {
-        if !use_bn {
-            return EvidencePosteriors {
-                bands: stage_bands(profile, evidence, false, tail_mass),
-                cache: None,
-                mi: std::cell::RefCell::default(),
-            };
-        }
         let net = profile.net();
-        let pool = net.reduced_cpts(evidence);
         let n = profile.n_stages();
-        let marginals: Vec<Vec<f64>> = (0..n)
-            .map(|s| net.posterior_marginal_with(&pool, s, evidence))
+        let empty = Evidence::new();
+        let cond: &Evidence = if use_bn { evidence } else { &empty };
+        let pool = net.reduced_cpts(cond);
+        // The BN cache keeps every stage's marginal (observed ones as
+        // point masses) for Eq. 6; the bands need only unobserved stages.
+        let vars: Vec<usize> = (0..n)
+            .filter(|s| use_bn || !evidence.contains_key(s))
             .collect();
-        let bands = (0..n)
-            .map(|s| {
-                if evidence.contains_key(&s) {
-                    return StageBand::default();
-                }
-                let disc = &profile.discretizers()[s];
-                let p = &marginals[s];
-                let (lo, hi) = disc.quantile_interval(p, tail_mass);
-                StageBand {
-                    mean: disc.expectation(p),
-                    lo,
-                    hi,
-                }
-            })
-            .collect();
+        let (marginals, eliminations) = net.posterior_marginals_with(&pool, &vars, cond);
+        let mut bands = vec![StageBand::default(); n];
+        for (&s, p) in vars.iter().zip(&marginals) {
+            if evidence.contains_key(&s) {
+                continue;
+            }
+            let disc = &profile.discretizers()[s];
+            let (lo, hi) = disc.quantile_interval(p, tail_mass);
+            let mean = if use_bn {
+                disc.expectation(p)
+            } else {
+                profile.static_mean(StageId(s as u32))
+            };
+            bands[s] = StageBand { mean, lo, hi };
+        }
         EvidencePosteriors {
             bands,
-            cache: Some(PosteriorCache { pool, marginals }),
+            cache: use_bn.then_some(PosteriorCache { pool, marginals }),
+            eliminations,
             mi: std::cell::RefCell::default(),
         }
     }
 }
 
-/// Folds precomputed [`stage_bands`] into one job's remaining-work
-/// estimate: skips completed stages and credits observable progress
-/// inside expanded-but-unfinished placeholders (the job-specific part).
+/// Folds the precomputed [`EvidencePosteriors::bands`] into one job's
+/// remaining-work estimate: skips completed stages and credits observable
+/// progress inside expanded-but-unfinished placeholders (the job-specific
+/// part).
 pub fn remaining_work_from_bands(
     profile: &AppProfile,
     job: &JobRt,
@@ -269,11 +249,12 @@ pub fn remaining_work_with(
     use_bn: bool,
     tail_mass: f64,
 ) -> WorkEstimate {
-    // Inline original (not via `stage_bands`, which skips evidence-keyed
-    // stages): this entry point accepts arbitrary evidence that need not
-    // match the job's completed set — and it is the rebuild reference
-    // path, whose cost profile must stay untouched. The per-stage
-    // arithmetic is identical to `stage_bands` + `remaining_work_from_bands`.
+    // Inline original (not via `EvidencePosteriors::build`, which skips
+    // evidence-keyed stages): this entry point accepts arbitrary evidence
+    // that need not match the job's completed set — and it is the rebuild
+    // reference path, whose cost profile must stay untouched. The
+    // per-stage arithmetic is identical to `EvidencePosteriors::build` +
+    // `remaining_work_from_bands`.
     let mut est = WorkEstimate::default();
     let empty = Evidence::new();
     let cond: &Evidence = if use_bn { evidence } else { &empty };

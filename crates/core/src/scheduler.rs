@@ -13,16 +13,23 @@
 //!
 //! * **incremental** (default) — persistent per-job
 //!   [`JobBelief`](crate::belief::JobBelief)s (see [`crate::belief`])
-//!   plus two delta-maintained ordered indices: the
-//!   SRTF exploitation order and the interval index behind the
-//!   non-overlapping grouping. Only jobs whose evidence changed are
-//!   re-estimated and repositioned; a full re-key happens only when the
-//!   Eq. 2 calibration factor itself moves (rare at saturation, where the
-//!   average busy batch pins to the max batch size). Eq. 6 scores come
-//!   from the one MI memo shared per (application, evidence) inside the
-//!   beliefs' posterior state; the only other per-job state is a
-//!   delta-maintained ready-stage count, and the emission budgets read
-//!   the engine's per-class dispatchable counters.
+//!   plus two delta-maintained ordered indices, each entry carrying what
+//!   the walks read so no visit needs a hash probe:
+//!   - the St source holds only jobs with at least one ready stage, in
+//!     SRTF order `(calibrated expected work, arrival, JobId)`: the St walk
+//!     costs O(jobs it emits from), not O(active jobs);
+//!   - the Su source holds every active job in `(lo, hi, JobId)` interval
+//!     order with its ready-stage count: blocked jobs still bridge
+//!     non-overlapping groups, so they stay, and the group walk reads
+//!     `hi` and the ready flag from the entry.
+//!
+//!   A job is re-keyed when its belief or its ready-stage set moves; a
+//!   full re-key happens only when the Eq. 2 calibration factor itself
+//!   moves (rare at saturation, where the average busy batch pins to the
+//!   max batch size). Eq. 6 scores come from the one MI memo shared per
+//!   (application, evidence) inside the beliefs' posterior state, and the
+//!   emission budgets read the engine's per-class dispatchable counters.
+//!   [`LlmSched::stats`] counts the work of each walk.
 //! * **rebuild** (`incremental = false`) — the original
 //!   recompute-everything-per-call reference that equivalence tests and
 //!   `scale_throughput` compare against.
@@ -33,12 +40,12 @@
 //! BN estimates).
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use llmsched_bayes::network::Evidence;
 use llmsched_dag::ids::{JobId, StageId};
 use llmsched_dag::time::SimTime;
-use llmsched_sim::incr::{FiniteF64, OrderedJobs};
+use llmsched_sim::incr::FiniteF64;
 use llmsched_sim::scheduler::{Preference, SchedContext, SchedDelta, Scheduler};
 use llmsched_sim::state::JobRt;
 use llmsched_telemetry::{DecisionList, DecisionRecord};
@@ -135,22 +142,18 @@ pub struct LlmSched {
     cache: HashMap<(JobId, u64, u64), JobAnalysis>,
     /// Incremental path: persistent per-job beliefs…
     beliefs: BeliefStore,
-    /// …the SRTF exploitation order, keyed by (calibrated estimate,
-    /// arrival)…
-    exploit: OrderedJobs<(FiniteF64, SimTime)>,
-    /// …and the interval index behind the non-overlapping grouping
-    /// (ordered by calibrated lower bound; the upper bound is re-derived
-    /// from the belief when a group is scanned).
-    intervals: OrderedJobs<FiniteF64>,
+    /// …and the ordered indices the lazy St and Su sources walk (see
+    /// [`DecisionIndex`]).
+    index: DecisionIndex,
     /// The Eq. 2 calibration the persistent keys were computed under; a
     /// moved calibration re-keys everything.
     last_calib: Option<f64>,
-    /// Per-job ready-stage counts and their running total — the exact
-    /// lengths of the lazy St/Su sources, maintained by deltas so the
-    /// merge's RNG stream never needs a full job scan.
-    ready_counts: HashMap<JobId, usize>,
-    ready_dirty: std::collections::HashSet<JobId>,
-    total_ready: usize,
+    /// Jobs whose ready-stage set may have changed since the last sync
+    /// (duplicates allowed; completed jobs are dropped at the sync).
+    ready_dirty: Vec<JobId>,
+    /// Work counters of the decision path (belief-side fields are read
+    /// from the [`BeliefStore`] by [`LlmSched::stats`]).
+    stats: LlmSchedStats,
     /// Reused per-invocation merge scratch (cleared at the top of every
     /// incremental schedule; persisting the capacity keeps the merge
     /// allocation-free at steady state).
@@ -165,6 +168,153 @@ pub struct LlmSched {
     /// Records accumulated since the last [`Scheduler::drain_provenance`].
     decisions: Vec<DecisionRecord>,
     name: String,
+}
+
+/// Deterministic work counters of LLMSched's decision path, read with
+/// [`LlmSched::stats`]. They sit beside wall time: a walk that falls back
+/// to visiting every active job shows up here through any host noise.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LlmSchedStats {
+    /// Invocations that ran Algorithm 1 (past the early returns for
+    /// contexts where nothing could start).
+    pub calls: u64,
+    /// Jobs the lazy St walk took off the SRTF index.
+    pub st_visits: u64,
+    /// Of those, jobs with at least one ready stage. The index holds only
+    /// such jobs, so this equals `st_visits`.
+    pub st_materialized: u64,
+    /// Jobs the lazy Su walk took off the interval index. Blocked jobs
+    /// count too: their intervals still bridge groups.
+    pub su_visits: u64,
+    /// Of those, jobs with at least one ready stage (scored into the heap).
+    pub su_materialized: u64,
+    /// Eq. 6 scores computed for Su heap entries.
+    pub eq6_scores: u64,
+    /// Eq. 6 MI terms computed on a shared-memo miss.
+    pub mi_misses: u64,
+    /// Posterior states built, one per new `(application, profile
+    /// version, evidence)`.
+    pub posterior_builds: u64,
+    /// Variable eliminations those builds ran.
+    pub vars_eliminated: u64,
+    /// Full rebuilds of the indices: each Eq. 2 calibration move (the
+    /// first call included) and each context that bypassed the delta
+    /// stream.
+    pub reindexes: u64,
+}
+
+/// One job's entry in [`DecisionIndex`]: its sort keys under the current
+/// Eq. 2 calibration and its ready-stage count.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct JobKeys {
+    /// SRTF key: calibrated expected remaining work, then arrival.
+    srtf: (FiniteF64, SimTime),
+    /// Calibrated support interval behind the non-overlapping grouping.
+    lo: FiniteF64,
+    hi: FiniteF64,
+    /// Ready stages (the job's share of both lazy lists' lengths).
+    ready: usize,
+}
+
+/// LLMSched's delta-maintained decision indices. The walks read
+/// everything they need from the entries they visit (no hash probe per
+/// visit); `keys` is probed only when a job is re-keyed.
+#[derive(Debug, Clone, Default)]
+struct DecisionIndex {
+    /// Every active job's entry.
+    keys: HashMap<JobId, JobKeys>,
+    /// The St source: only jobs with at least one ready stage, in SRTF
+    /// order `(expected, arrival, JobId)`. Blocked jobs add nothing to St,
+    /// so leaving them out does not change the emitted order.
+    ready_srtf: BTreeSet<((FiniteF64, SimTime), JobId)>,
+    /// The Su source: every active job in `(lo, hi, JobId)` order, mapped
+    /// to its ready-stage count (maintained only when exploration is on).
+    /// Blocked jobs stay: their intervals still bridge groups. Equal `lo`
+    /// always merge into one group (`hi ≥ lo`), so ordering ties by `hi`
+    /// leaves every group's membership unchanged.
+    intervals: BTreeMap<(FiniteF64, FiniteF64, JobId), usize>,
+    /// False under the w/o-uncertainty ablation, which has no Su list.
+    with_intervals: bool,
+    /// Ready stages over all jobs — the exact length of both lazy lists,
+    /// so the merge's RNG stream never needs a full job scan.
+    total_ready: usize,
+}
+
+impl DecisionIndex {
+    fn new(with_intervals: bool) -> Self {
+        DecisionIndex {
+            with_intervals,
+            ..Self::default()
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.ready_srtf.clear();
+        self.intervals.clear();
+        self.total_ready = 0;
+    }
+
+    /// Inserts or re-keys one job: O(log n), and nothing but a count
+    /// update when only its ready count moved.
+    fn set(&mut self, id: JobId, k: JobKeys) {
+        debug_assert!(k.lo <= k.hi, "support interval inverted");
+        let old = self.keys.insert(id, k);
+        if old == Some(k) {
+            return;
+        }
+        let srtf_of = |k: &JobKeys| (k.ready > 0).then_some(k.srtf);
+        let (old_srtf, old_iv) = match &old {
+            Some(o) => {
+                self.total_ready -= o.ready;
+                (srtf_of(o), Some((o.lo, o.hi)))
+            }
+            None => (None, None),
+        };
+        self.total_ready += k.ready;
+        let new_srtf = srtf_of(&k);
+        if old_srtf != new_srtf {
+            if let Some(s) = old_srtf {
+                self.ready_srtf.remove(&(s, id));
+            }
+            if let Some(s) = new_srtf {
+                self.ready_srtf.insert((s, id));
+            }
+        }
+        if !self.with_intervals {
+            return;
+        }
+        match old_iv {
+            Some((lo, hi)) if (lo, hi) == (k.lo, k.hi) => {
+                *self
+                    .intervals
+                    .get_mut(&(lo, hi, id))
+                    .expect("indexed job has an interval entry") = k.ready;
+            }
+            _ => {
+                if let Some((lo, hi)) = old_iv {
+                    self.intervals.remove(&(lo, hi, id));
+                }
+                self.intervals.insert((k.lo, k.hi, id), k.ready);
+            }
+        }
+    }
+
+    /// Drops one job if indexed: O(log n).
+    fn remove(&mut self, id: JobId) {
+        let Some(o) = self.keys.remove(&id) else {
+            return;
+        };
+        self.total_ready -= o.ready;
+        if o.ready > 0 {
+            self.ready_srtf.remove(&(o.srtf, id));
+        }
+        self.intervals.remove(&(o.lo, o.hi, id));
+    }
 }
 
 /// One scored exploration candidate in the lazy Su heap: max-heap order is
@@ -220,18 +370,17 @@ impl LlmSched {
         }
         .to_string();
         let seed = cfg.seed;
+        let index = DecisionIndex::new(cfg.use_uncertainty);
         LlmSched {
             store,
             cfg,
             rng: StdRng::seed_from_u64(seed),
             cache: HashMap::new(),
             beliefs: BeliefStore::new(),
-            exploit: OrderedJobs::new(),
-            intervals: OrderedJobs::new(),
+            index,
             last_calib: None,
-            ready_counts: HashMap::new(),
-            ready_dirty: std::collections::HashSet::new(),
-            total_ready: 0,
+            ready_dirty: Vec::new(),
+            stats: LlmSchedStats::default(),
             merge_emitted: HashMap::new(),
             st_mat_buf: Vec::new(),
             su_heap_buf: std::collections::BinaryHeap::new(),
@@ -262,6 +411,19 @@ impl LlmSched {
     /// `sched.par_scored`.
     pub fn par_scored(&self) -> u64 {
         0
+    }
+
+    /// Deterministic work counters of the decision path since the last
+    /// [`Scheduler::reset`] (the engine resets once per run). Everything
+    /// but `calls` counts the incremental path only.
+    pub fn stats(&self) -> LlmSchedStats {
+        let b = self.beliefs.stats();
+        LlmSchedStats {
+            mi_misses: b.mi_misses,
+            posterior_builds: b.posterior_builds,
+            vars_eliminated: b.vars_eliminated,
+            ..self.stats
+        }
     }
 
     // ------------------------------------------------------------------
@@ -418,19 +580,20 @@ impl LlmSched {
     // Incremental path
     // ------------------------------------------------------------------
 
-    /// (Re)derives one job's persistent sort keys from its belief.
-    fn index_job(&mut self, job: &JobRt, calib: f64) {
-        let w = self.beliefs.work(job.id());
-        self.exploit
-            .upsert(job.id(), (FiniteF64(w.expected(calib)), job.arrival()));
-        if self.cfg.use_uncertainty {
-            let (lo, _) = w.interval(calib);
-            self.intervals.upsert(job.id(), FiniteF64(lo));
+    /// One job's index entry under calibration `calib`.
+    fn keys_of(beliefs: &BeliefStore, job: &JobRt, calib: f64) -> JobKeys {
+        let w = beliefs.work(job.id());
+        let (lo, hi) = w.interval(calib);
+        JobKeys {
+            srtf: (FiniteF64(w.expected(calib)), job.arrival()),
+            lo: FiniteF64(lo),
+            hi: FiniteF64(hi),
+            ready: job.ready_stage_ids().len(),
         }
     }
 
-    /// Brings the profile store, beliefs, ready-stage counts and both
-    /// ordered indices in sync with the context.
+    /// Brings the profile store, beliefs and the decision indices in sync
+    /// with the context.
     fn sync(&mut self, ctx: &SchedContext<'_>) {
         // Publish any pending observation rows first: bumped apps
         // invalidate exactly their jobs' beliefs (and shared bands).
@@ -444,55 +607,38 @@ impl LlmSched {
             self.cfg.use_bn,
             self.cfg.interval_tail_mass,
         );
+        let mut dirty = std::mem::take(&mut self.ready_dirty);
         if self.last_calib == Some(calib) {
-            // Calibration stable: reposition only the jobs whose belief
-            // moved (arrivals included — their upsert is the insert).
-            for id in changed {
-                if let Some(job) = ctx.job(id) {
-                    self.index_job(job, calib);
+            // Calibration stable: re-key only the jobs whose belief or
+            // ready set moved (arrivals included — their set is the
+            // insert).
+            dirty.extend(changed);
+            dirty.sort_unstable();
+            dirty.dedup();
+            for &id in &dirty {
+                match ctx.job(id) {
+                    Some(job) => self.index.set(id, Self::keys_of(&self.beliefs, job, calib)),
+                    None => self.index.remove(id),
                 }
             }
         }
-        if self.last_calib != Some(calib) || self.exploit.len() != ctx.jobs.len() {
+        dirty.clear();
+        self.ready_dirty = dirty;
+        if self.last_calib != Some(calib) || self.index.len() != ctx.jobs.len() {
             // Calibration moved (every persistent key is stale), or the
             // context bypassed the delta stream: rebuild the indices.
-            self.exploit.clear();
-            self.intervals.clear();
-            for i in 0..ctx.jobs.len() {
-                self.index_job(&ctx.jobs[i], calib);
+            self.stats.reindexes += 1;
+            self.index.clear();
+            for job in &ctx.jobs {
+                self.index
+                    .set(job.id(), Self::keys_of(&self.beliefs, job, calib));
             }
             self.last_calib = Some(calib);
-        }
-        // Ready-stage counts: the exact lengths of the lazy St/Su sources.
-        for id in std::mem::take(&mut self.ready_dirty) {
-            let old = self.ready_counts.get(&id).copied().unwrap_or(0);
-            let new = match ctx.job(id) {
-                Some(job) => {
-                    let n = job.ready_stage_ids().len();
-                    self.ready_counts.insert(id, n);
-                    n
-                }
-                None => {
-                    self.ready_counts.remove(&id);
-                    0
-                }
-            };
-            self.total_ready = self.total_ready - old + new;
-        }
-        if self.ready_counts.len() != ctx.jobs.len() {
-            // The context bypassed the delta stream: recount every job.
-            self.ready_counts.clear();
-            self.total_ready = 0;
-            for job in &ctx.jobs {
-                let n = job.ready_stage_ids().len();
-                self.ready_counts.insert(job.id(), n);
-                self.total_ready += n;
-            }
         }
         // The ε-draw stream's length depends on this total, so a drifted
         // count would silently change the schedule.
         debug_assert_eq!(
-            self.total_ready,
+            self.index.total_ready,
             ctx.jobs
                 .iter()
                 .map(|j| j.ready_stage_ids().len())
@@ -528,9 +674,9 @@ impl LlmSched {
         // class has fewer unstarted tasks than capacity.
         let rb = ctx.regular_free().min(ctx.dispatchable_regular);
         let lb = ctx.llm_free_slots().min(ctx.dispatchable_llm);
-        let st_len = self.total_ready;
+        let st_len = self.index.total_ready;
         let su_len = if self.cfg.use_uncertainty {
-            self.total_ready
+            self.index.total_ready
         } else {
             0
         };
@@ -539,9 +685,7 @@ impl LlmSched {
         // indices directly (no per-invocation id snapshots) while the merge
         // draws from the RNG and fills the reused scratch buffers.
         let LlmSched {
-            ref exploit,
-            ref intervals,
-            ref ready_counts,
+            ref index,
             ref beliefs,
             ref store,
             ref cfg,
@@ -550,6 +694,7 @@ impl LlmSched {
             ref mut st_mat_buf,
             ref mut su_heap_buf,
             ref mut decisions,
+            ref mut stats,
             ..
         } = *self;
 
@@ -561,10 +706,10 @@ impl LlmSched {
         // Lazy St state: materialized prefix + cursor into the SRTF order.
         let st_mat = st_mat_buf;
         st_mat.clear();
-        let mut st_src = exploit.entries().map(|(_, id)| id);
+        let mut st_src = index.ready_srtf.iter().map(|&(_, id)| id);
         // Lazy Su state: cursor into the interval order + current group's
         // scored heap.
-        let mut iv_src = intervals.entries().map(|(k, id)| (k.0, id)).peekable();
+        let mut iv_src = index.intervals.iter().peekable();
         let heap = su_heap_buf;
         heap.clear();
 
@@ -607,23 +752,27 @@ impl LlmSched {
                     // observe the push order.
                     let mut cur_hi = f64::NEG_INFINITY;
                     let mut first = true;
-                    while let Some(&(lo, id)) = iv_src.peek() {
-                        if !first && lo > cur_hi {
+                    while let Some(&(&(lo, hi, id), &ready)) = iv_src.peek() {
+                        if !first && lo.0 > cur_hi {
                             break;
                         }
                         first = false;
-                        cur_hi = cur_hi.max(beliefs.work(id).interval(calib).1);
+                        cur_hi = cur_hi.max(hi.0);
                         iv_src.next();
-                        // Jobs with no ready stages contribute nothing:
-                        // skip them without touching the job state.
-                        if ready_counts.get(&id).copied().unwrap_or(0) == 0 {
+                        stats.su_visits += 1;
+                        // Jobs with no ready stages contribute nothing
+                        // but their interval: skip them without touching
+                        // the job state.
+                        if ready == 0 {
                             continue;
                         }
                         let Some(idx) = ctx.job_index(id) else {
                             continue;
                         };
                         let job = &ctx.jobs[idx];
+                        stats.su_materialized += 1;
                         for &s in job.ready_stage_ids() {
+                            stats.eq6_scores += 1;
                             heap.push(SuEntry {
                                 score: FiniteF64(beliefs.reduction(store, cfg.mi, job, s)),
                                 tie: std::cmp::Reverse((id, s)),
@@ -647,11 +796,11 @@ impl LlmSched {
                 st_i += 1;
                 while st_mat.len() < st_i {
                     let Some(id) = st_src.next() else { break };
-                    if ready_counts.get(&id).copied().unwrap_or(0) == 0 {
-                        continue;
-                    }
+                    stats.st_visits += 1;
                     if let Some(i) = ctx.job_index(id) {
-                        for &s in ctx.jobs[i].ready_stage_ids() {
+                        let ready = ctx.jobs[i].ready_stage_ids();
+                        stats.st_materialized += u64::from(!ready.is_empty());
+                        for &s in ready {
                             st_mat.push(StageRef {
                                 job_idx: i,
                                 stage: s,
@@ -1013,14 +1162,7 @@ impl Scheduler for LlmSched {
         }
         self.beliefs.on_delta(d);
         match d {
-            SchedDelta::JobCompleted { job } => {
-                self.exploit.remove(*job);
-                self.intervals.remove(*job);
-                if let Some(n) = self.ready_counts.remove(job) {
-                    self.total_ready -= n;
-                }
-                self.ready_dirty.remove(job);
-            }
+            SchedDelta::JobCompleted { job } => self.index.remove(*job),
             // Every event that can change a job's ready-stage set: arrival,
             // stage completion (done flags / predecessor counts), reveals
             // (visibility), and task dispatch (stage exhaustion). Task
@@ -1029,9 +1171,7 @@ impl Scheduler for LlmSched {
             SchedDelta::JobArrived { job, .. }
             | SchedDelta::StageCompleted { job, .. }
             | SchedDelta::StageRevealed { job, .. }
-            | SchedDelta::TasksDispatched { job, .. } => {
-                self.ready_dirty.insert(*job);
-            }
+            | SchedDelta::TasksDispatched { job, .. } => self.ready_dirty.push(*job),
             // Pure observations: consumed by the store above, no
             // ready-set or belief change until a snapshot publishes.
             SchedDelta::TasksFinished { .. }
@@ -1045,12 +1185,10 @@ impl Scheduler for LlmSched {
         self.store.reset();
         self.cache.clear();
         self.beliefs.clear();
-        self.exploit.clear();
-        self.intervals.clear();
+        self.index.clear();
         self.last_calib = None;
-        self.ready_counts.clear();
         self.ready_dirty.clear();
-        self.total_ready = 0;
+        self.stats = LlmSchedStats::default();
         self.rng = StdRng::seed_from_u64(self.cfg.seed);
         self.decisions.clear();
     }
@@ -1078,6 +1216,7 @@ impl Scheduler for LlmSched {
             // `tests/equivalence.rs`.
             return Preference::new();
         }
+        self.stats.calls += 1;
         if self.cfg.incremental {
             self.schedule_incremental(ctx)
         } else {
@@ -1166,6 +1305,80 @@ mod tests {
             };
             assert_eq!(key(&inc), key(&reb), "{}: completions", kind.name());
         }
+    }
+
+    #[test]
+    fn decision_walks_do_work_proportional_to_ready_jobs() {
+        // Counts the calibration moves the policy sees: the same value it
+        // computes at the top of each call that runs Algorithm 1.
+        struct CalibMoves {
+            inner: LlmSched,
+            last: Option<f64>,
+            moves: u64,
+            calls: u64,
+        }
+        impl Scheduler for CalibMoves {
+            fn name(&self) -> &str {
+                self.inner.name()
+            }
+            fn on_delta(&mut self, d: &SchedDelta) {
+                self.inner.on_delta(d);
+            }
+            fn reset(&mut self) {
+                self.inner.reset();
+            }
+            fn schedule(&mut self, ctx: &SchedContext<'_>) -> Preference {
+                if ctx.dispatchable > 0 {
+                    self.calls += 1;
+                    let calib = crate::estimator::batching_calibration(ctx);
+                    if self.last != Some(calib) {
+                        self.moves += 1;
+                        self.last = Some(calib);
+                    }
+                }
+                self.inner.schedule(ctx)
+            }
+        }
+        let profiler = trained_profiler(&AppKind::ALL);
+        let mut sched = CalibMoves {
+            inner: LlmSched::new(profiler, LlmSchedConfig::default()),
+            last: None,
+            moves: 0,
+            calls: 0,
+        };
+        let w = generate_workload(WorkloadKind::Mixed, 80, 4.0, 19);
+        let r = simulate(
+            &WorkloadKind::Mixed.default_cluster(),
+            &w.templates,
+            w.jobs,
+            &mut sched,
+        );
+        assert_eq!(r.incomplete, 0);
+        let s = sched.inner.stats();
+        assert_eq!(s.calls, sched.calls);
+        assert!(
+            s.calls > 0 && s.st_materialized > 0,
+            "the workload exercises St: {s:?}"
+        );
+        // The St index holds only jobs with a ready stage, so the walk
+        // never visits a blocked job.
+        assert_eq!(s.st_visits, s.st_materialized, "{s:?}");
+        // Only a calibration move re-keys everything (no safety-net
+        // rebuild inside the engine's delta stream).
+        assert!(sched.moves > 1, "calibration moves during the run");
+        assert_eq!(s.reindexes, sched.moves, "{s:?}");
+        // The Su walk visits blocked jobs too (their intervals bridge
+        // groups) and scores every ready stage it reaches.
+        assert!(
+            s.su_visits > s.su_materialized && s.su_materialized > 0,
+            "{s:?}"
+        );
+        assert!(s.eq6_scores >= s.su_materialized, "{s:?}");
+        assert!(s.posterior_builds > 0 && s.vars_eliminated > 0, "{s:?}");
+        assert!(s.mi_misses > 0 && s.mi_misses <= s.eq6_scores, "{s:?}");
+        // The engine resets the policy at the start of every run.
+        sched.inner.reset();
+        assert_eq!(sched.inner.stats(), LlmSchedStats::default());
     }
 
     #[test]

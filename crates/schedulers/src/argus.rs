@@ -182,6 +182,111 @@ mod tests {
     }
 
     #[test]
+    fn a_reveal_reorders_ready_stages_by_refreshed_heights() {
+        // `plan` (LLM) reveals the chain g1 → g2 under the placeholder;
+        // `x` (two 1 s tasks) → `y` is the other branch. At t = 0 the one
+        // regular executor takes x's first task and the plan runs. The
+        // plan's reveal at t = 0.2 s makes g1 ready, and when x's first
+        // task ends at t = 1 s the ready stages are x and g1. g1 now sits
+        // on the deepest path (height 2 of 3 against x's 1), so it must be
+        // offered first; heights cached before the reveal would rank it 0
+        // and offer x first.
+        use llmsched_dag::prelude::*;
+        use llmsched_sim::engine::{simulate, ClusterConfig};
+        use llmsched_sim::latency::LatencyProfile;
+        use llmsched_sim::scheduler::TaskRef;
+
+        let mut b = TemplateBuilder::new(AppId(0), "reveal");
+        let plan = b.llm("plan");
+        let x = b.regular("x");
+        let y = b.regular("y");
+        let tool = Candidate {
+            name: "tool".into(),
+            class: ExecutorClass::Regular,
+        };
+        let dynamic = b.dynamic("execute", plan, vec![tool]);
+        b.edge(x, y);
+        b.edge(plan, dynamic);
+        let template = b.build().unwrap();
+        let secs = |n: usize| {
+            (0..n)
+                .map(|_| TaskWork::Regular {
+                    duration: SimDuration::from_secs(1),
+                })
+                .collect::<Vec<_>>()
+        };
+        let generated = |name: &str| StageSpec {
+            revealed_by: Some(plan),
+            parent_dynamic: Some(dynamic),
+            candidate: Some(0),
+            ..StageSpec::executing(name, StageKind::Regular, secs(1))
+        };
+        let (g1, g2) = (StageId(4), StageId(5));
+        let job = JobSpec::new(
+            JobId(0),
+            &template,
+            SimTime::ZERO,
+            vec![
+                StageSpec::executing(
+                    "plan",
+                    StageKind::Llm,
+                    vec![TaskWork::Llm {
+                        prompt_tokens: 0,
+                        output_tokens: 10,
+                    }],
+                ),
+                StageSpec::executing("x", StageKind::Regular, secs(2)),
+                StageSpec::executing("y", StageKind::Regular, secs(1)),
+                StageSpec::executing("execute", StageKind::DynamicPlaceholder, vec![]),
+                generated("g1"),
+                generated("g2"),
+            ],
+            vec![(plan, g1), (g1, g2), (g2, dynamic)],
+        )
+        .unwrap();
+        let templates: TemplateSet = [template].into_iter().collect();
+        let cfg = ClusterConfig {
+            regular_executors: 1,
+            llm_executors: 1,
+            max_batch: 1,
+            latency: LatencyProfile::new(vec![(1, SimDuration::from_millis(20))]).unwrap(),
+            ..ClusterConfig::default()
+        };
+
+        /// Records every non-empty regular list the inner policy emits.
+        struct Recording(Argus, Vec<Vec<TaskRef>>);
+        impl Scheduler for Recording {
+            fn name(&self) -> &str {
+                "recording"
+            }
+            fn schedule(&mut self, ctx: &SchedContext<'_>) -> Preference {
+                let p = self.0.schedule(ctx);
+                if !p.regular.is_empty() {
+                    self.1.push(p.regular.clone());
+                }
+                p
+            }
+            fn on_delta(&mut self, d: &SchedDelta) {
+                self.0.on_delta(d);
+            }
+            fn reset(&mut self) {
+                self.0.reset();
+            }
+        }
+
+        for argus in [Argus::new(), Argus::rebuild()] {
+            let mut rec = Recording(argus, Vec::new());
+            let r = simulate(&cfg, &templates, vec![job.clone()], &mut rec);
+            assert_eq!(r.incomplete, 0);
+            assert_eq!(rec.1[0][0].stage, x, "t = 0: only x is ready");
+            assert_eq!(
+                rec.1[1][0].stage, g1,
+                "t = 1 s: the revealed chain outranks x"
+            );
+        }
+    }
+
+    #[test]
     fn rank_orders_lexicographically() {
         let a = Rank {
             depth_per_mille: 900,

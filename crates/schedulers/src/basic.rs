@@ -10,14 +10,16 @@
 //!
 //! * FCFS stable-sorts by `(arrival, JobId)`: the active jobs are almost
 //!   always in arrival order already, so the sort is linear.
-//! * Fair sorts by `(running tasks, arrival, JobId)` on every call, each
-//!   key computed once per job. A persistent [`DeltaIndex`] repositioned
-//!   on every task dispatch/finish delta was no faster.
+//! * Fair sorts the jobs with a ready stage by `(running tasks, arrival,
+//!   JobId)` on every call, each key computed once per job; blocked jobs
+//!   would only get empty round-robin queues. A persistent [`DeltaIndex`]
+//!   repositioned on every task dispatch/finish delta was no faster.
 //! * SJF and SRTF keep a [`DeltaIndex`]: their keys move rarely (never
 //!   for SJF, on stage completions for SRTF), and sorting per call made
 //!   them 1.5–1.6× and 4.3–5.9× slower at 300 and 3,000 mixed jobs (see
 //!   `llmsched_sim::incr`). The `::rebuild()` reference sorts instead.
 
+use llmsched_dag::ids::JobId;
 use llmsched_dag::time::SimTime;
 use llmsched_sim::incr::{DeltaIndex, FiniteF64};
 use llmsched_sim::scheduler::{Preference, SchedContext, SchedDelta, Scheduler};
@@ -141,10 +143,19 @@ impl Scheduler for Fair {
             // bit-identical.
             return Preference::new();
         }
-        let queues: Vec<(&JobRt, ReadyTasks)> =
-            sorted_jobs(ctx, |j| (j.running_tasks(), j.arrival()))
-                .map(|j| (j, Self::ready_queue(j)))
-                .collect();
+        // Jobs with no ready stage would get empty queues, which never
+        // emit: leave them out before the sort and the queue build.
+        let mut ready: Vec<((usize, SimTime, JobId), &JobRt)> = ctx
+            .jobs
+            .iter()
+            .filter(|j| !j.ready_stage_ids().is_empty())
+            .map(|j| ((j.running_tasks(), j.arrival(), j.id()), j))
+            .collect();
+        ready.sort_unstable_by_key(|&(k, _)| k);
+        let queues: Vec<(&JobRt, ReadyTasks)> = ready
+            .into_iter()
+            .map(|(_, j)| (j, Self::ready_queue(j)))
+            .collect();
         let mut p = Preference::new();
         Self::round_robin(&mut p, &queues, Budget::for_call(ctx, self.rebuild));
         p

@@ -23,7 +23,9 @@
 //! * [`EstimateCache`]: Decima and Carbyne, whose remaining-work estimate
 //!   walks a job's whole template. Uncached, Decima is 8.5× slower at
 //!   300 jobs.
-//! * [`OrderedJobs`]: LLMSched's SRTF order and interval index.
+//! * [`OrderedJobs`]: the order inside [`DeltaIndex`]. LLMSched keeps its
+//!   own indices, whose entries also carry what its walks read (the
+//!   interval's upper bound, the ready-stage count).
 //!
 //! A count-mismatch safety net (`refresh` compares the structure's size
 //! against the context's job count) rebuilds it whole when a context was
@@ -120,11 +122,6 @@ impl<K: Ord + Copy> OrderedJobs<K> {
     /// Job ids in ascending `(key, JobId)` order.
     pub fn ids(&self) -> impl Iterator<Item = JobId> + '_ {
         self.order.iter().map(|&(_, j)| j)
-    }
-
-    /// `(key, JobId)` pairs in ascending order.
-    pub fn entries(&self) -> impl Iterator<Item = (&K, JobId)> + '_ {
-        self.order.iter().map(|(k, j)| (k, *j))
     }
 }
 
